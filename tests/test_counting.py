@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveinv import (
+    ANY,
     ArrowDiagram,
     ArrowRule,
     Convention,
     EvalMode,
     Orientation,
+    Pattern,
+    PatternKind,
     SignedChordDiagram,
     arrows_to_chords,
     builtin_chord_patterns,
@@ -202,3 +205,52 @@ def test_monotone_bound(seed):
         f = builtin_formula(name)
         bound = sum(abs(c) * math.comb(d.n, p.k) for c, p in f.terms)
         assert abs(evaluate(f, d, EvalMode.WEIGHTED)) <= bound
+
+
+FOUR_CHORD_PATTERNS = (
+    "[1-2,3-4,5-6,7-8]",
+    "[1-8,2-7,3-6,4-5]",
+    "[1-5,2-6,3-7,4-8]",
+    "[1-3:+,2-4,5-7:-,6-8]",
+    "[1-6,2-3:-,4-8:+,5-7]",
+)
+FOUR_ARROW_PATTERNS = (
+    "[1>5,6>2,3>7,8>4]",
+    "[2>1,4>3,5>6,8>7]",
+    "[1>8:+,7>2,3>6:-,5>4]",
+    "[3>1,2>5,6>4,7>8]",
+)
+
+
+def _sub_pattern(rng, items, kind):
+    """A 4-chord pattern read off a random 4-subset of a diagram, so that
+    the diagram embeds it at least once; sign constraints drawn at random."""
+    subset = rng.sample(items, 4)
+    slots = sorted(x for a, b, _ in subset for x in (a, b))
+    rank = {x: i + 1 for i, x in enumerate(slots)}
+    chords = tuple(
+        (rank[a], rank[b], rng.choice((ANY, s, -s))) for a, b, s in subset
+    )
+    return Pattern(k=4, kind=kind, chords=chords)
+
+
+def test_four_chord_counts_match_oracle_on_random_diagrams():
+    rng = random.Random(406)
+    chord_patterns = [parse_pattern(t) for t in FOUR_CHORD_PATTERNS]
+    arrow_patterns = [parse_pattern(t) for t in FOUR_ARROW_PATTERNS]
+    for _ in range(60):
+        d = random_chord_diagram(rng, max_n=7)
+        a = random_arrow_diagram(rng, max_n=7)
+        extra_chord = [
+            _sub_pattern(rng, d.chords, PatternKind.CHORD) for _ in range(2)
+        ] if d.n >= 4 else []
+        extra_arrow = [
+            _sub_pattern(rng, a.arrows, PatternKind.ARROW) for _ in range(2)
+        ] if a.n >= 4 else []
+        for p in chord_patterns + extra_chord:
+            for mode in MODES:
+                assert count_embeddings(p, d, mode) == count_embeddings_oracle(
+                    p, d, mode
+                )
+        for p in arrow_patterns + extra_arrow:
+            assert count_arrow_pattern(p, a) == count_arrow_pattern_oracle(p, a)
