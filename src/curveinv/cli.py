@@ -30,6 +30,7 @@ from .registry import (
     calibrate,
     default_fuzz_seeds,
     frozen_calibration,
+    parse_formula_file,
 )
 
 FORMULA_COLUMNS = ("I2_1", "I3_1", "I3_2", "I3_3", "I3_4", "I3_5")
@@ -140,15 +141,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_calibrate(args) -> int:
     formulas = None
     if args.registry is not None:
-        formulas = []
-        for lineno, line in enumerate(
-            Path(args.registry).read_text().splitlines(), 1
-        ):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                formulas.append(parse_formula(line, line=lineno))
-        if not formulas:
-            raise ValueError("registry file holds no formulas")
+        formulas = parse_formula_file(Path(args.registry).read_text())
     seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
     report = calibrate(seeds, args.trials, args.rng_seed, formulas=formulas)
     print(report.format())

@@ -1,14 +1,21 @@
 """Optimized pattern counting and formula evaluation.
 
-The engine classifies every pair of diagram chords as sequential, nested,
-or crossed (in base-point order), packs the three relations into integer
-matrices, and evaluates degree <= 3 terms with one matrix product each.
-Counts are exact integers throughout. An independent brute-force oracle
-lives in oracle.py and shares no code with this path.
+Every public counter and evaluator runs one path: build DiagramTables for
+the diagram once, then count each formula term against them. The tables
+classify every pair of chords (or arrows, read as chords) as sequential,
+nested, or crossed in base-point order and pack the three relations into
+integer matrices. A term's roles become 0/1 filter vectors, by sign
+constraint and, for arrow patterns, by arrow direction, optionally
+weighted by sign. Degree <= 3 terms then take one matrix product each;
+degree >= 4 terms classify every subset by its relation vector. Arrow
+terms sum the based count over the pattern's rotations. Counts are exact
+integers throughout. An independent brute-force oracle lives in oracle.py
+and shares no code with this path.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -73,7 +80,7 @@ def _signature(matching: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 def _check_signature_injectivity():
     # The counting path identifies a configuration by its pairwise relation
     # vector; that is only sound if the vector determines the matching.
-    for k in (2, 3):
+    for k in (2, 3, 4):
         sigs = [_signature(m) for m in _perfect_matchings(k)]
         assert len(sigs) == len(set(sigs))
 
@@ -93,15 +100,20 @@ def pattern_signature(p: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class DiagramTables:
-    """Packed pairwise-relation tables for one diagram, reused across terms."""
+    """Packed pairwise-relation tables for one chord or arrow diagram.
 
-    def __init__(self, d: SignedChordDiagram):
+    Index i is the i-th chord or arrow in smaller-endpoint order, the order
+    both diagram types are stored in. Tables over arrow diagrams also keep
+    each arrow's direction, which arrow patterns filter on beside the sign.
+    """
+
+    def __init__(self, d: SignedChordDiagram | ArrowDiagram):
         self.n = d.n
-        lo = np.fromiter((c[0] for c in d.chords), dtype=np.int64, count=d.n)
-        hi = np.fromiter((c[1] for c in d.chords), dtype=np.int64, count=d.n)
-        self.signs = np.fromiter(
-            (c[2] for c in d.chords), dtype=np.int64, count=d.n
-        )
+        is_chords = isinstance(d, SignedChordDiagram)
+        items = np.array(d.chords if is_chords else d.arrows, dtype=np.int64)
+        tail, head, self.signs = items.reshape(d.n, 3).T
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        self.forward = None if is_chords else tail < head
         upper = np.triu(np.ones((d.n, d.n), dtype=bool), 1)
         seq = hi[:, None] < lo[None, :]
         nest = hi[None, :] < hi[:, None]
@@ -110,32 +122,27 @@ class DiagramTables:
             NEST: (nest & upper).astype(np.int64),
             CROSS: (upper & ~seq & ~nest).astype(np.int64),
         }
-        # Forward flag per arrow, present only for tables over arrow diagrams.
-        self.forward: np.ndarray | None = None
 
-    def role_vector(
-        self, constraint: int, weighted: bool, forward: int | None = None
-    ) -> np.ndarray:
-        u = np.ones(self.n, dtype=np.int64)
-        if constraint != ANY:
-            u = u * (self.signs == constraint)
-        if forward is not None:
-            assert self.forward is not None
-            u = u * (self.forward == forward)
-        if weighted:
-            u = u * self.signs
-        return u
+    def count(self, p: Pattern, weighted: bool) -> int:
+        """Sum over index tuples i1<i2<...<ik realizing the based pattern p.
 
-    def count(
-        self,
-        signature: tuple[int, ...],
-        vectors: list[np.ndarray],
-    ) -> int:
-        """Sum of products of role vectors over index tuples i1<i2<...<ik
-        whose pairwise relations equal the signature."""
-        k = len(vectors)
+        A tuple realizes p when its pairwise relations equal p's, each item
+        passes its role's sign constraint and, for arrow patterns, points
+        the role's way. It weighs the product of its signs when weighted,
+        else 1.
+        """
+        k = p.k
         if k > self.n:
             return 0
+        signature, constraints = pattern_signature(p)
+        vectors = []
+        for (a, b, _), c in zip(p.chords, constraints):
+            u = self.signs if weighted else np.ones(self.n, dtype=np.int64)
+            if c != ANY:
+                u = u * (self.signs == c)
+            if p.kind is PatternKind.ARROW:
+                u = u * (self.forward == (a < b))
+            vectors.append(u)
         if k == 1:
             return int(vectors[0].sum())
         if k == 2:
@@ -148,75 +155,16 @@ class DiagramTables:
             return int(
                 np.sum(inner * self.rel[r23] * u2[:, None] * u3[None, :])
             )
-        raise NotImplementedError("table path handles k <= 3")
-
-
-def _tables_for_arrows(d: ArrowDiagram) -> DiagramTables:
-    # Both chord and arrow normalizations sort by the smaller endpoint, and
-    # smaller endpoints are distinct in a valid diagram, so index i below
-    # refers to the same arrow in both orderings.
-    as_chords = SignedChordDiagram(
-        n=d.n,
-        chords=tuple((min(t, h), max(t, h), s) for t, h, s in d.arrows),
-    )
-    tables = DiagramTables(as_chords)
-    tables.forward = np.fromiter(
-        (1 if t < h else 0 for t, h, _ in d.arrows), dtype=np.int64, count=d.n
-    )
-    return tables
-
-
-def _count_general(p: Pattern, d: SignedChordDiagram, mode: EvalMode) -> int:
-    """Degree >= 4 chord counting by direct subset classification."""
-    shape = tuple((a, b) for a, b, _ in p.chords)
-    total = 0
-    for subset in combinations(d.chords, p.k):
-        slots = sorted(x for a, b, _ in subset for x in (a, b))
-        rank = {s: i + 1 for i, s in enumerate(slots)}
-        relabeled = tuple((rank[a], rank[b], s) for a, b, s in subset)
-        if tuple((a, b) for a, b, _ in relabeled) != shape:
-            continue
-        if any(
-            c != ANY and c != s
-            for (_, _, s), (_, _, c) in zip(relabeled, p.chords)
-        ):
-            continue
-        w = 1
-        if mode is EvalMode.WEIGHTED:
-            for _, _, s in relabeled:
-                w *= s
-        total += w
-    return total
-
-
-def count_embeddings(
-    p: Pattern, d: SignedChordDiagram, mode: EvalMode
-) -> int:
-    """Count base-respecting embeddings of a chord pattern into a diagram.
-
-    An embedding is an injective map from pattern chords to diagram chords
-    under which the 2k matched endpoints, read from the base point, realize
-    exactly the pattern's configuration. Sign constraints filter embeddings;
-    the mode sets each embedding's weight (1, or the product of matched
-    diagram signs).
-    """
-    if p.kind is not PatternKind.CHORD:
-        raise KindMismatchError("count_embeddings needs a chord pattern")
-    if not isinstance(d, SignedChordDiagram):
-        raise KindMismatchError("count_embeddings needs a signed chord diagram")
-    if p.k > 3:
-        return _count_general(p, d, mode)
-    tables = DiagramTables(d)
-    return _count_from_tables(tables, p, mode)
-
-
-def _count_from_tables(
-    tables: DiagramTables, p: Pattern, mode: EvalMode
-) -> int:
-    sig, cons = pattern_signature(p)
-    weighted = mode is EvalMode.WEIGHTED
-    vectors = [tables.role_vector(c, weighted) for c in cons]
-    return tables.count(sig, vectors)
+        # Degree >= 4: classify every k-subset by its relation vector, which
+        # determines the configuration (see _check_signature_injectivity).
+        rel = (NEST * self.rel[NEST] + CROSS * self.rel[CROSS]).tolist()
+        weights = [u.tolist() for u in vectors]
+        pairs = list(zip(combinations(range(k), 2), signature))
+        return sum(
+            math.prod(u[i] for u, i in zip(weights, idx))
+            for idx in combinations(range(self.n), k)
+            if all(rel[idx[i]][idx[j]] == r for (i, j), r in pairs)
+        )
 
 
 def _rotations(p: Pattern) -> list[Pattern]:
@@ -239,6 +187,44 @@ def _rotations(p: Pattern) -> list[Pattern]:
     return out
 
 
+def _count_term(
+    tables: DiagramTables, p: Pattern, mode: EvalMode | None
+) -> int:
+    """The one per-term count behind every public counter and evaluator.
+
+    Chord patterns are based and weighted per mode. Arrow patterns ignore
+    the base point, so their count sums the based counts of the pattern's
+    rotations, each match weighing the product of its arrow signs.
+    """
+    if p.kind is PatternKind.ARROW:
+        return sum(tables.count(rot, weighted=True) for rot in _rotations(p))
+    return tables.count(p, weighted=mode is EvalMode.WEIGHTED)
+
+
+def _sum_terms(
+    f: Formula, tables: DiagramTables, mode: EvalMode | None
+) -> int:
+    return sum(coeff * _count_term(tables, p, mode) for coeff, p in f.terms)
+
+
+def count_embeddings(
+    p: Pattern, d: SignedChordDiagram, mode: EvalMode
+) -> int:
+    """Count base-respecting embeddings of a chord pattern into a diagram.
+
+    An embedding is an injective map from pattern chords to diagram chords
+    under which the 2k matched endpoints, read from the base point, realize
+    exactly the pattern's configuration. Sign constraints filter embeddings;
+    the mode sets each embedding's weight (1, or the product of matched
+    diagram signs).
+    """
+    if p.kind is not PatternKind.CHORD:
+        raise KindMismatchError("count_embeddings needs a chord pattern")
+    if not isinstance(d, SignedChordDiagram):
+        raise KindMismatchError("count_embeddings needs a signed chord diagram")
+    return _count_term(DiagramTables(d), p, mode)
+
+
 def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
     """Count sub-arrow-diagrams of the pattern's type, ignoring the base point.
 
@@ -251,50 +237,7 @@ def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
         raise KindMismatchError("count_arrow_pattern needs an arrow pattern")
     if not isinstance(d, ArrowDiagram):
         raise KindMismatchError("count_arrow_pattern needs an arrow diagram")
-    if p.k > 3:
-        return sum(
-            _count_arrow_based_general(rot, d) for rot in _rotations(p)
-        )
-    tables = _tables_for_arrows(d)
-    total = 0
-    for rot in _rotations(p):
-        sig, cons = pattern_signature(rot)
-        directions = tuple(1 if t < h else 0 for t, h, _ in rot.chords)
-        vectors = [
-            tables.role_vector(c, weighted=True, forward=f)
-            for c, f in zip(cons, directions)
-        ]
-        total += tables.count(sig, vectors)
-    return total
-
-
-def _count_arrow_based_general(p: Pattern, d: ArrowDiagram) -> int:
-    shape = tuple(
-        (min(t, h), max(t, h), t < h) for t, h, _ in p.chords
-    )
-    total = 0
-    for subset in combinations(d.arrows, p.k):
-        slots = sorted(x for t, h, _ in subset for x in (t, h))
-        rank = {s: i + 1 for i, s in enumerate(slots)}
-        relabeled = sorted(
-            ((rank[t], rank[h], s) for t, h, s in subset),
-            key=lambda arrow: min(arrow[0], arrow[1]),
-        )
-        key = tuple(
-            (min(t, h), max(t, h), t < h) for t, h, _ in relabeled
-        )
-        if key != shape:
-            continue
-        if any(
-            c != ANY and c != s
-            for (_, _, s), (_, _, c) in zip(relabeled, p.chords)
-        ):
-            continue
-        w = 1
-        for _, _, s in relabeled:
-            w *= s
-        total += w
-    return total
+    return _count_term(DiagramTables(d), p, None)
 
 
 def evaluate(
@@ -308,17 +251,9 @@ def evaluate(
             raise KindMismatchError("chord formula needs a signed chord diagram")
         if mode is None:
             raise ValueError("chord formulas need an explicit EvalMode")
-        tables = DiagramTables(d)
-        total = 0
-        for coeff, p in f.terms:
-            if p.k > 3:
-                total += coeff * _count_general(p, d, mode)
-            else:
-                total += coeff * _count_from_tables(tables, p, mode)
-        return total
-    if not isinstance(d, ArrowDiagram):
+    elif not isinstance(d, ArrowDiagram):
         raise KindMismatchError("arrow formula needs an arrow diagram")
-    return sum(coeff * count_arrow_pattern(p, d) for coeff, p in f.terms)
+    return _sum_terms(f, DiagramTables(d), mode)
 
 
 def evaluate_with_convention(
@@ -367,11 +302,5 @@ def evaluate_all(
     for f in formulas:
         if f.kind is not PatternKind.CHORD:
             raise KindMismatchError("evaluate_all handles chord formulas")
-        total = 0
-        for coeff, p in f.terms:
-            if p.k > 3:
-                total += coeff * _count_general(p, d, conv.eval_mode)
-            else:
-                total += coeff * _count_from_tables(tables, p, conv.eval_mode)
-        out.append(total)
+        out.append(_sum_terms(f, tables, conv.eval_mode))
     return tuple(out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice
 
 from .patterns import EvalMode, ParseError
 
@@ -131,11 +132,18 @@ def validate(d: Diagram) -> list[str]:
                 )
             elif slot in seen:
                 reused.append(slot)
-            seen.add(slot)
+            else:
+                seen.add(slot)
     for slot in sorted(set(reused)):
         problems.append(f"slot {slot} reused")
-    for slot in sorted(set(range(1, total + 1)) - seen):
-        problems.append(f"slot {slot} unused")
+    # The claimed n can dwarf the input, so unused slots are counted, not
+    # enumerated, and only the first ten are named.
+    unused = total - len(seen)
+    free = (slot for slot in count(1) if slot not in seen)
+    named = list(islice(free, min(unused, 10)))
+    problems.extend(f"slot {slot} unused" for slot in named)
+    if unused > len(named):
+        problems.append(f"{unused - len(named)} more slots unused")
     return problems
 
 

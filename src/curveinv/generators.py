@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .diagrams import ArrowDiagram, CurveDiagram
-from .moves import INVARIANCE_KINDS, apply_move, random_site
+from .moves import INVARIANCE_KINDS, STOPPED_EARLY, random_site, walk
 
 
 def gen_cabc(a: int, b: int, c: int) -> CurveDiagram:
@@ -87,15 +87,11 @@ def gen_equivalent(
     rng = random.Random(str(rng_seed))
     d = seed.diagram
     log: list[str] = []
-    applied = 0
-    for _ in range(num_moves):
-        site = random_site(d, rng, kinds)
-        if site is None:
-            log.append("# stopped early: no applicable sites")
-            break
+    for site, d in walk(d, rng, num_moves, random_site, kinds):
         log.append(site.format())
-        d = apply_move(d, site)
-        applied += 1
+    applied = len(log)
+    if applied < num_moves:
+        log.append(STOPPED_EARLY)
     return (
         CurveDiagram(
             diagram=d,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .counting import evaluate_all
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
@@ -49,6 +50,8 @@ INVARIANCE_KINDS = (MoveKind.IR2_INSERT, MoveKind.IR2_DELETE, MoveKind.R3)
 
 _INSERT_KINDS = (MoveKind.IR2_INSERT, MoveKind.DR2_INSERT)
 _DELETE_KINDS = (MoveKind.IR2_DELETE, MoveKind.DR2_DELETE)
+
+STOPPED_EARLY = "# stopped early: no applicable sites"
 
 
 class StaleSiteError(ValueError):
@@ -209,27 +212,23 @@ def _r3_sites(d, partner, forward, r3_variants: str) -> list[MoveSite]:
     return sites
 
 
-def _delete_sites(d, partner, forward, sign, kind) -> list[MoveSite]:
-    m = 2 * d.n
-    sites = []
-    for t, h, s in d.arrows:
-        p, q = min(t, h), max(t, h)
-        if s != 1:
-            continue
-        if kind is MoveKind.IR2_DELETE:
-            mate_lo, mate_hi = p + 1, q - 1
-            if q < p + 3:
-                continue
-        else:
-            mate_lo, mate_hi = p + 1, q + 1
-            if q < p + 2 or q + 1 > m:
-                continue
-        if partner.get(mate_lo) != mate_hi:
-            continue
-        if sign[mate_lo] != 1 or forward[p] == forward[mate_lo]:
-            continue
-        sites.append(MoveSite(kind, (p,)))
-    return sites
+def _starts_delete_pair(kind, p, partner, forward, sign, m) -> bool:
+    """Whether slot p is the smaller slot of a positive arrow whose mate
+    (the positive arrow at p+1) makes a deletable pair of the given kind."""
+    q = partner[p]
+    if q < p or sign[p] != 1:
+        return False
+    if kind is MoveKind.IR2_DELETE:
+        mate_lo, mate_hi = p + 1, q - 1
+        if q < p + 3:
+            return False
+    else:
+        mate_lo, mate_hi = p + 1, q + 1
+        if q < p + 2 or q + 1 > m:
+            return False
+    if partner.get(mate_lo) != mate_hi:
+        return False
+    return sign[mate_lo] == 1 and forward[p] != forward[mate_lo]
 
 
 def insert_site_count(d: ArrowDiagram) -> int:
@@ -263,7 +262,11 @@ def find_sites(
         ]
     partner, forward, sign = _slot_maps(d)
     if kind in _DELETE_KINDS:
-        return _delete_sites(d, partner, forward, sign, kind)
+        lows = (min(t, h) for t, h, _ in d.arrows)
+        return [
+            MoveSite(kind, (p,)) for p in lows
+            if _starts_delete_pair(kind, p, partner, forward, sign, 2 * d.n)
+        ]
     return _r3_sites(d, partner, forward, r3_variants)
 
 
@@ -294,10 +297,13 @@ def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
 
 
 def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
-    if site not in find_sites(d, site.kind):
+    m = 2 * d.n
+    partner, forward, sign = _slot_maps(d)
+    p = site.data[0] if len(site.data) == 1 else None
+    if p not in range(1, m + 1) or not _starts_delete_pair(
+        site.kind, p, partner, forward, sign, m
+    ):
         raise StaleSiteError(f"stale delete site: {site.format()}")
-    (p,) = site.data
-    partner, _, _ = _slot_maps(d)
     q = partner[p]
     if site.kind is MoveKind.IR2_DELETE:
         removed = sorted((p, q, p + 1, q - 1))
@@ -343,35 +349,39 @@ def apply_move(
     return _apply_r3(d, site, r3_variants)
 
 
+def _enabled_sites(d, kinds, r3_variants):
+    """(site count, site by index) per enabled kind in canonical order.
+
+    Insert sites are counted analytically and decoded by rank, so a step
+    never materializes the quadratic insert-site list.
+    """
+    out = []
+    for k in KIND_ORDER:
+        if k not in kinds:
+            continue
+        if k in _INSERT_KINDS:
+            out.append((insert_site_count(d), partial(_unrank_insert, k, d)))
+        else:
+            sites = find_sites(d, k, r3_variants)
+            out.append((len(sites), sites.__getitem__))
+    return out
+
+
 def random_site(
     d: ArrowDiagram,
     rng: random.Random,
     kinds=INVARIANCE_KINDS,
     r3_variants: str = "realizable",
 ) -> MoveSite | None:
-    """Uniform site over all enabled kinds; None when nothing applies.
-
-    Insert sites are counted analytically and decoded by rank, so a step
-    never materializes the quadratic insert-site list.
-    """
-    enabled = [k for k in KIND_ORDER if k in kinds]
-    counts: list[int] = []
-    listed: dict[MoveKind, list[MoveSite]] = {}
-    for k in enabled:
-        if k in _INSERT_KINDS:
-            counts.append(insert_site_count(d))
-        else:
-            listed[k] = find_sites(d, k, r3_variants)
-            counts.append(len(listed[k]))
-    total = sum(counts)
+    """Uniform site over all enabled kinds; None when nothing applies."""
+    enabled = _enabled_sites(d, kinds, r3_variants)
+    total = sum(c for c, _ in enabled)
     if total == 0:
         return None
     index = rng.randrange(total)
-    for k, c in zip(enabled, counts):
+    for c, site_at in enabled:
         if index < c:
-            if k in _INSERT_KINDS:
-                return _unrank_insert(k, d, index)
-            return listed[k][index]
+            return site_at(index)
         index -= c
     raise AssertionError("unreachable")
 
@@ -388,24 +398,30 @@ def random_site_balanced(
     long walks grow without bound; this sampler keeps inserts and deletes
     balanced and diagram size near the start size.
     """
-    enabled = [k for k in KIND_ORDER if k in kinds]
-    available: list[tuple[MoveKind, int, list[MoveSite] | None]] = []
-    for k in enabled:
-        if k in _INSERT_KINDS:
-            c = insert_site_count(d)
-            sites = None
-        else:
-            sites = find_sites(d, k, r3_variants)
-            c = len(sites)
-        if c:
-            available.append((k, c, sites))
+    available = [e for e in _enabled_sites(d, kinds, r3_variants) if e[0]]
     if not available:
         return None
-    k, c, sites = available[rng.randrange(len(available))]
-    index = rng.randrange(c)
-    if sites is None:
-        return _unrank_insert(k, d, index)
-    return sites[index]
+    c, site_at = available[rng.randrange(len(available))]
+    return site_at(rng.randrange(c))
+
+
+def walk(
+    d: ArrowDiagram,
+    rng: random.Random,
+    steps: int,
+    sample,
+    kinds=INVARIANCE_KINDS,
+    r3_variants: str = "realizable",
+):
+    """Apply up to `steps` moves drawn by `sample` (random_site or
+    random_site_balanced), yielding (site, diagram after the move) for
+    each. The walk ends early when no enabled kind has a site."""
+    for _ in range(steps):
+        site = sample(d, rng, kinds, r3_variants)
+        if site is None:
+            return
+        d = apply_move(d, site, r3_variants=r3_variants)
+        yield site, d
 
 
 def replay(
@@ -489,13 +505,12 @@ def fuzz_invariance(
             rng = random.Random(f"{rng_seed}:{si}:{trial}")
             d = d0
             log: list[str] = []
-            for _ in range(depth):
-                site = random_site(d, rng, kinds, r3_variants)
-                if site is None:
-                    log.append("# stopped early: no applicable sites")
-                    break
+            for site, d in walk(
+                d0, rng, depth, random_site, kinds, r3_variants
+            ):
                 log.append(site.format())
-                d = apply_move(d, site, r3_variants=r3_variants)
+            if len(log) < depth:
+                log.append(STOPPED_EARLY)
             after = evaluate_all(formulas, d, convention)
             if after != base:
                 violations.append(

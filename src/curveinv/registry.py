@@ -15,9 +15,15 @@ from importlib import resources
 from itertools import product
 
 from .counting import count_arrow_with_convention, evaluate_all
-from .diagrams import ArrowRule, Convention, CurveDiagram, Orientation
+from .diagrams import (
+    ArrowRule,
+    Convention,
+    CurveDiagram,
+    Orientation,
+    iter_diagram_records,
+)
 from .generators import gen_cabc, gen_torus
-from .moves import INVARIANCE_KINDS, apply_move, random_site_balanced
+from .moves import random_site_balanced, walk
 from .patterns import (
     ANY,
     EvalMode,
@@ -55,13 +61,21 @@ def _formulas_text() -> str:
     )
 
 
+def parse_formula_file(text: str) -> list[Formula]:
+    """Parse a formula file: one formula per line, blank and # lines
+    skipped. Parse errors carry the line number within the file."""
+    formulas = [
+        parse_formula(line.strip(), line=lineno)
+        for lineno, line in iter_diagram_records(text)
+    ]
+    if not formulas:
+        raise ValueError("registry file holds no formulas")
+    return formulas
+
+
 def _load() -> dict[str, Formula]:
     if not _cache:
-        for lineno, line in enumerate(_formulas_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            f = parse_formula(line, line=lineno)
+        for f in parse_formula_file(_formulas_text()):
             _cache[f.name] = f
         assert tuple(_cache) == FORMULA_NAMES
     return _cache
@@ -136,10 +150,7 @@ def format_calibration(cal: Calibration) -> str:
 
 def parse_calibration(text: str) -> Calibration:
     fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in iter_diagram_records(text):
         for chunk in line.split(";"):
             chunk = chunk.strip()
             if not chunk:
@@ -260,13 +271,9 @@ def _invariance_holds(
         d = seed.diagram if isinstance(seed, CurveDiagram) else seed
         vals = evaluate_all(formulas, d, conv)
         rng = random.Random(f"{rng_seed}|{config_index}|{si}")
-        for _ in range(trials):
-            # Kind-balanced sampling keeps the walk from growing without
-            # bound over hundreds of moves.
-            site = random_site_balanced(d, rng, INVARIANCE_KINDS)
-            if site is None:
-                break
-            d = apply_move(d, site)
+        # Kind-balanced sampling keeps the walk from growing without bound
+        # over hundreds of moves.
+        for _, d in walk(d, rng, trials, random_site_balanced):
             if evaluate_all(formulas, d, conv) != vals:
                 return False
     return True

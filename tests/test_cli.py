@@ -183,3 +183,22 @@ def test_replay_stale_log(tmp_path, capsys):
     log.write_text("iR2_delete 1\n")
     code, _, err = run(capsys, "replay", "--code", TORUS3, "--log", str(log))
     assert code == 2 and "error:" in err
+
+
+def test_calibrate_registry_file_with_comments_matches_builtin(capsys):
+    from importlib import resources
+
+    builtin = resources.files("curveinv").joinpath("data/formulas.txt")
+    assert "#" in builtin.read_text()
+    code, out, _ = run(capsys, "calibrate", "--trials", "20")
+    assert code == 0
+    assert run(capsys, "calibrate", "--trials", "20",
+               "--registry", str(builtin)) == (0, out, "")
+
+
+def test_calibrate_registry_of_only_comments(tmp_path, capsys):
+    reg = tmp_path / "formulas.txt"
+    reg.write_text("# nothing here\n\n   # still nothing\n")
+    code, _, err = run(capsys, "calibrate", "--registry", str(reg))
+    assert code == 2
+    assert "holds no formulas" in err

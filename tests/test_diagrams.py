@@ -192,3 +192,24 @@ def test_convention_defaults():
     assert c.orientation is Orientation.CCW
     assert c.arrow_rule is ArrowRule.FORWARD_PLUS
     assert c.eval_mode is EvalMode.WEIGHTED
+
+
+def test_validate_bounds_unused_slot_report():
+    with pytest.raises(InvalidDiagramError) as err:
+        parse_diagram("chords; n=1000000; 1-2:+")
+    message = str(err.value)
+    assert len(message) < 2048
+    named = [v for v in err.value.violations if v.endswith(" unused")]
+    assert named[:10] == [f"slot {s} unused" for s in range(3, 13)]
+    assert named[10:] == ["1999988 more slots unused"]
+
+
+def test_validate_names_every_unused_slot_up_to_ten():
+    d = SignedChordDiagram(n=6, chords=((1, 2, 1),))
+    assert [v for v in validate(d) if v.endswith(" unused")] == [
+        f"slot {s} unused" for s in range(3, 13)
+    ]
+    d = SignedChordDiagram(n=7, chords=((1, 2, 1),))
+    assert [v for v in validate(d) if v.endswith(" unused")][-1] == (
+        "2 more slots unused"
+    )

@@ -303,3 +303,45 @@ def test_fuzz_violation_log_is_replayable(formulas, conv):
     assert evaluate_all(formulas, seed, conv) == v.before
     end = replay(seed, v.log)
     assert evaluate_all(formulas, end, conv) == v.after
+
+
+def test_delete_site_checked_locally():
+    pair = parse_diagram("arrows; n=2; 1>4:+ 3>2:+")
+    assert find_sites(pair, MoveKind.IR2_DELETE) == [
+        MoveSite(MoveKind.IR2_DELETE, (1,))
+    ]
+    assert apply_move(pair, MoveSite(MoveKind.IR2_DELETE, (1,))) == EMPTY
+    stale = [
+        (pair, (4,)),  # upper endpoint of the outer arrow
+        (pair, (2,)),  # lower endpoint of the inner arrow, no mate inside
+        (parse_diagram("arrows; n=2; 1>4:- 3>2:+"), (1,)),  # negative arrow
+        (parse_diagram("arrows; n=2; 1>4:+ 3>2:-"), (1,)),  # negative mate
+        (pair, (0,)),
+        (pair, (5,)),
+        (pair, (-3,)),
+        (pair, ()),
+        (pair, (1, 4)),
+        (pair, ("1",)),
+        (pair, ([1],)),
+    ]
+    for d, data in stale:
+        with pytest.raises(StaleSiteError):
+            apply_move(d, MoveSite(MoveKind.IR2_DELETE, data))
+
+
+def test_delete_accepts_exactly_the_found_sites():
+    rng = random.Random(17)
+    for start in small_diagrams():
+        d = start
+        for _ in range(6):
+            d = apply_move(d, random_site(d, rng, kinds=INSERT_KINDS))
+            for kind in DELETE_OF.values():
+                found = find_sites(d, kind)
+                for p in range(-1, 2 * d.n + 3):
+                    site = MoveSite(kind, (p,))
+                    try:
+                        apply_move(d, site)
+                    except StaleSiteError:
+                        assert site not in found
+                    else:
+                        assert site in found

@@ -166,3 +166,16 @@ def test_default_fuzz_seed_set():
     tags = [s.provenance for s in seeds]
     assert tags.count("torus(3)") == 1 and tags.count("torus(5)") == 1
     assert sum(t.startswith("cabc(") for t in tags) == 12
+
+
+def test_parse_formula_file_skips_comments_and_keeps_line_numbers():
+    from curveinv.patterns import ParseError
+    from curveinv.registry import parse_formula_file
+
+    text = "# head\n\nA := +[1-2,3-4]\n  # note\nB := +[1-3,2-4]\n"
+    assert [f.name for f in parse_formula_file(text)] == ["A", "B"]
+    with pytest.raises(ParseError) as err:
+        parse_formula_file("# head\n\nA := +[1-2,2-4]\n")
+    assert err.value.line == 3
+    with pytest.raises(ValueError, match="holds no formulas"):
+        parse_formula_file("# only a comment\n")
