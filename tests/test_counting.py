@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from curveinv import (
     ArrowRule,
     Convention,
     EvalMode,
+    Formula,
     Orientation,
     Pattern,
     PatternKind,
@@ -254,3 +257,115 @@ def test_four_chord_counts_match_oracle_on_random_diagrams():
                 )
         for p in arrow_patterns + extra_arrow:
             assert count_arrow_pattern(p, a) == count_arrow_pattern_oracle(p, a)
+
+
+def _matchings(k):
+    """Every perfect matching of slots 1..2k, as (a, b) pairs with a < b."""
+    if k == 0:
+        return [()]
+    out = []
+    for m in _matchings(k - 1):
+        # Insert a new chord 1-b and shift the rest: every matching of
+        # 1..2k arises once, from the matching of the remaining slots.
+        for b in range(2, 2 * k + 1):
+            rest = [x for x in range(2, 2 * k + 1) if x != b]
+            out.append(((1, b),) + tuple((rest[a - 1], rest[c - 1]) for a, c in m))
+    return out
+
+
+def _kernel_diagrams(rng, arrows=False):
+    """Random diagrams of sizes below, at and above every degree (so some
+    pairs meet empty intervals and some patterns do not fit at all), then
+    each 3-chord matching itself, so every relation triple is realized."""
+    shapes = []
+    for n in (0, 1, 2, 3, 3, 4, 5, 6, 6, 7):
+        slots = list(range(1, 2 * n + 1))
+        rng.shuffle(slots)
+        shapes.append([(slots[2 * i], slots[2 * i + 1]) for i in range(n)])
+    shapes.extend(_matchings(3))
+    out = []
+    for shape in shapes:
+        items = tuple(
+            (b, a, rng.choice((1, -1))) if arrows and rng.random() < 0.5
+            else (a, b, rng.choice((1, -1)))
+            for a, b in shape
+        )
+        out.append(
+            ArrowDiagram(len(items), items) if arrows
+            else SignedChordDiagram(len(items), items)
+        )
+    return out
+
+
+def test_matching_enumeration_is_complete():
+    assert [len(_matchings(k)) for k in (1, 2, 3)] == [1, 3, 15]
+    assert len(set(_matchings(3))) == 15
+
+
+def test_kernel_matches_oracle_on_every_signed_chord_pattern():
+    rng = random.Random(407)
+    diagrams = _kernel_diagrams(rng)
+    patterns = [
+        Pattern(k=k, kind=PatternKind.CHORD, chords=tuple(
+            (a, b, c) for (a, b), c in zip(m, signs)
+        ))
+        for k in (1, 2, 3)
+        for m in _matchings(k)
+        for signs in itertools.product((ANY, 1, -1), repeat=k)
+    ]
+    assert len(patterns) == 3 + 3 * 9 + 15 * 27
+    realized = set()
+    for d in diagrams:
+        for mode in MODES:
+            expected = [count_embeddings_oracle(p, d, mode) for p in patterns]
+            got = [count_embeddings(p, d, mode) for p in patterns]
+            assert got == expected, (d, mode)
+            realized.update(p.chords for p, e in zip(patterns, expected) if e)
+            # The compiled path: one formula over every pattern, with
+            # distinct coefficients, must give the same linear combination.
+            f = Formula("all", tuple((i + 1, p) for i, p in enumerate(patterns)))
+            want = sum((i + 1) * e for i, e in enumerate(expected))
+            assert evaluate(f, d, mode) == want
+    unconstrained = [p for p in patterns if all(c == ANY for _, _, c in p.chords)]
+    assert all(p.chords in realized for p in unconstrained)
+
+
+def test_kernel_matches_oracle_on_every_directed_arrow_pattern():
+    rng = random.Random(408)
+    diagrams = _kernel_diagrams(rng, arrows=True)
+    patterns = []
+    for k in (1, 2, 3):
+        for m in _matchings(k):
+            for flips in itertools.product((False, True), repeat=k):
+                chords = tuple(
+                    (b, a, rng.choice((ANY, ANY, 1, -1))) if flip else (a, b, ANY)
+                    for (a, b), flip in zip(m, flips)
+                )
+                patterns.append(Pattern(k=k, kind=PatternKind.ARROW, chords=chords))
+    assert len(patterns) == 2 + 3 * 4 + 15 * 8
+    for d in diagrams:
+        expected = [count_arrow_pattern_oracle(p, d) for p in patterns]
+        assert [count_arrow_pattern(p, d) for p in patterns] == expected, d
+        f = Formula("all", tuple((i + 1, p) for i, p in enumerate(patterns)))
+        assert evaluate(f, d) == sum((i + 1) * e for i, e in enumerate(expected))
+
+
+def test_thousand_chord_evaluation(formulas, conv):
+    cd = gen_cabc(0, 250, 250)
+    assert cd.diagram.n == 1000
+    start = time.perf_counter()
+    vec = evaluate_all(formulas, cd.diagram, conv)
+    elapsed = time.perf_counter() - start
+    assert vec == (0, 0, 250, 0, 0, 0)
+    assert 2 * vec[0] == cd.rot**2 - cd.jplus
+    assert elapsed < 10.0
+
+
+def test_thousand_arrow_triangle_count(frozen):
+    d = gen_torus(1001).diagram
+    start = time.perf_counter()
+    got = count_arrow_pattern(frozen.triangle, d)
+    elapsed = time.perf_counter() - start
+    m = 500
+    assert got == m * (m + 1) * (2 * m + 1) // 6
+    assert elapsed < 10.0
