@@ -97,6 +97,52 @@ def test_parse_accepts_whitespace_runs():
     assert serialize_diagram(d) == "chords; n=2; 1-3:+ 2-4:-"
 
 
+def test_parse_items_need_no_separator():
+    d = parse_diagram("chords; n=2; 1-3:+2-4:-  \n")
+    assert d.chords == ((1, 3, 1), (2, 4, -1))
+
+
+# One record per syntax-error branch of parse_diagram, each also cut off at
+# the end of input: (text, line, column, message).
+PARSE_ERRORS = [
+    ("", 1, 1, "expected 'chords' or 'arrows'"),
+    ("  polys; n=1;", 3, 3, "expected 'chords' or 'arrows'"),
+    ("chords", 1, 7, "expected ';' after kind"),
+    ("chords ; n=1;", 2, 7, "expected ';' after kind"),
+    ("chords;", 1, 8, "expected 'n='"),
+    ("chords; m=1;", 1, 9, "expected 'n='"),
+    ("chords;\tn=1;", 1, 8, "expected 'n='"),
+    ("chords; n=", 1, 11, "expected chord count"),
+    ("chords; n=x;", 1, 11, "expected chord count"),
+    ("chords; n=-1;", 1, 11, "expected chord count"),
+    ("chords; n=1", 1, 12, "expected ';' after chord count"),
+    ("chords; n=1 ;", 1, 12, "expected ';' after chord count"),
+    ("chords; n=1; x-2:+", 1, 14, "expected slot number"),
+    ("chords; n=1; 1-", 1, 16, "expected slot number"),
+    ("chords; n=1; 1-x:+", 1, 16, "expected slot number"),
+    ("chords; n=1; 1", 1, 15, "expected '-' between endpoints"),
+    ("chords; n=1; 1>2:+", 1, 15, "expected '-' between endpoints"),
+    ("arrows; n=1; 1", 1, 15, "expected '>' between endpoints"),
+    ("arrows; n=1; 1-2:+", 1, 15, "expected '>' between endpoints"),
+    ("chords; n=1; 1-2:+ 3", 4, 21, "expected '-' between endpoints"),
+    ("chords; n=1; 1-2", 1, 17, "expected ':' before sign"),
+    ("chords; n=1; 1-2+", 1, 17, "expected ':' before sign"),
+    ("chords; n=1; 1-2:", 1, 18, "expected sign '+' or '-'"),
+    ("chords; n=1; 1-2:x", 1, 18, "expected sign '+' or '-'"),
+    ("chords; n=1; 1-1:+", 1, 16, "chord endpoints equal at slot 1"),
+    ("arrows; n=2; 1>3:+ 4>4:-", 9, 22, "chord endpoints equal at slot 4"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", PARSE_ERRORS)
+def test_parse_error_positions(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_diagram(text, line=line)
+    err = info.value
+    assert str(err) == f"line {line}, col {col}: {message}"
+    assert (err.line, err.col, err.message) == (line, col, message)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_random_matchings(seed):
