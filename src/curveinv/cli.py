@@ -25,6 +25,7 @@ from .generators import gen_cabc, gen_torus
 from .moves import INVARIANCE_KINDS, MoveKind, fuzz_invariance, replay
 from .patterns import EvalMode, ParseError, parse_formula
 from .registry import (
+    FORMULA_NAMES,
     builtin_formula,
     builtin_formulas,
     calibrate,
@@ -32,8 +33,6 @@ from .registry import (
     frozen_calibration,
     parse_formula_file,
 )
-
-FORMULA_COLUMNS = ("I2_1", "I3_1", "I3_2", "I3_3", "I3_4", "I3_5")
 
 
 def _convention_from(args) -> Convention:
@@ -151,7 +150,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_table(args) -> int:
     conv = _convention_from(args)
     formulas = builtin_formulas()
-    print("k " + " ".join(FORMULA_COLUMNS))
+    print("k " + " ".join(FORMULA_NAMES))
     rows = []
     for k in range(1, args.kmax + 1):
         cd = gen_cabc(args.r, args.b0 + k, args.c0 + k)
@@ -164,13 +163,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if args.code is not None:
-        d = parse_diagram(args.code)
-    else:
-        records = list(iter_diagram_records(Path(args.file).read_text()))
-        if len(records) != 1:
-            raise ValueError("replay needs exactly one starting diagram")
-        d = parse_diagram(records[0][1], line=records[0][0])
+    records = _read_records(args)
+    if len(records) != 1:
+        raise ValueError("replay needs exactly one starting diagram")
+    lineno, raw = records[0]
+    d = parse_diagram(raw, line=lineno)
     if not isinstance(d, ArrowDiagram):
         raise ValueError("replay operates on arrow diagrams")
     log = Path(args.log).read_text().splitlines()

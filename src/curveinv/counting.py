@@ -319,15 +319,6 @@ def _based_counts(
     return out
 
 
-def _count_term(
-    tables: DiagramTables, p: Pattern, mode: EvalMode | None
-) -> int:
-    """One pattern's count, for the single-pattern counters."""
-    return sum(
-        m * tables.count(t, w) for (t, w), m in _based_counts(p, mode)
-    )
-
-
 @functools.lru_cache(maxsize=128)
 def _plan(
     formulas: tuple[Formula, ...],
@@ -355,17 +346,42 @@ def _plan(
 
 
 def _evaluate(
+    kind: PatternKind,
     formulas: tuple[Formula, ...],
     d: SignedChordDiagram | ArrowDiagram,
-    orientation: Orientation,
+    conv: Convention | None,
     mode: EvalMode | None,
 ) -> tuple[int, ...]:
-    """The one evaluator: each distinct based count of the compiled
-    formulas once on one set of tables, then the coefficient map."""
+    """The one evaluator behind every public counter.
+
+    Checks that every formula is of the caller's kind and that the diagram
+    fits it, switching arrows to signed chords for chord formulas when a
+    convention is given; then counts each distinct based pattern of the
+    compiled formulas once on one set of tables and applies the
+    coefficient map. Without a convention, templates are read as given
+    (counterclockwise) and arrow diagrams are never switched.
+    """
+    if any(f.kind is not kind for f in formulas):
+        raise KindMismatchError(f"expected {kind.value} patterns")
+    if kind is PatternKind.CHORD:
+        if conv is not None and isinstance(d, ArrowDiagram):
+            d = arrows_to_chords(d, conv)
+        if not isinstance(d, SignedChordDiagram):
+            raise KindMismatchError("chord formula needs a signed chord diagram")
+        if mode is None:
+            raise ValueError("chord formulas need an explicit EvalMode")
+    elif not isinstance(d, ArrowDiagram):
+        raise KindMismatchError("arrow formula needs an arrow diagram")
+    orientation = Orientation.CCW if conv is None else conv.orientation
     based, rows = _plan(formulas, orientation, mode)
     tables = DiagramTables(d)
     counts = [tables.count(term, weighted) for term, weighted in based]
     return tuple(sum(c * counts[i] for i, c in row) for row in rows)
+
+
+def _single(p: Pattern) -> tuple[Formula]:
+    """A lone pattern as a one-term formula, for the pattern counters."""
+    return (Formula("", ((1, p),)),)
 
 
 def count_embeddings(
@@ -379,11 +395,7 @@ def count_embeddings(
     the mode sets each embedding's weight (1, or the product of matched
     diagram signs).
     """
-    if p.kind is not PatternKind.CHORD:
-        raise KindMismatchError("count_embeddings needs a chord pattern")
-    if not isinstance(d, SignedChordDiagram):
-        raise KindMismatchError("count_embeddings needs a signed chord diagram")
-    return _count_term(DiagramTables(d), p, mode)
+    return _evaluate(PatternKind.CHORD, _single(p), d, None, mode)[0]
 
 
 def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
@@ -394,23 +406,7 @@ def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
     Each match weighs the product of the matched arrow signs; sign
     constraints, when present, filter matches.
     """
-    if p.kind is not PatternKind.ARROW:
-        raise KindMismatchError("count_arrow_pattern needs an arrow pattern")
-    if not isinstance(d, ArrowDiagram):
-        raise KindMismatchError("count_arrow_pattern needs an arrow diagram")
-    return _count_term(DiagramTables(d), p, None)
-
-
-def _check_kinds(
-    f: Formula, d: SignedChordDiagram | ArrowDiagram, mode: EvalMode | None
-) -> None:
-    if f.kind is PatternKind.CHORD:
-        if not isinstance(d, SignedChordDiagram):
-            raise KindMismatchError("chord formula needs a signed chord diagram")
-        if mode is None:
-            raise ValueError("chord formulas need an explicit EvalMode")
-    elif not isinstance(d, ArrowDiagram):
-        raise KindMismatchError("arrow formula needs an arrow diagram")
+    return _evaluate(PatternKind.ARROW, _single(p), d, None, None)[0]
 
 
 def evaluate(
@@ -419,8 +415,7 @@ def evaluate(
     mode: EvalMode | None = None,
 ) -> int:
     """Evaluate a formula: the coefficient-weighted sum of its term counts."""
-    _check_kinds(f, d, mode)
-    return _evaluate((f,), d, Orientation.CCW, mode)[0]
+    return _evaluate(f.kind, (f,), d, None, mode)[0]
 
 
 def evaluate_with_convention(
@@ -434,18 +429,14 @@ def evaluate_with_convention(
     formulas applied to arrow diagrams first switch arrows to signed chords
     per the convention's arrow rule.
     """
-    if f.kind is PatternKind.CHORD and isinstance(d, ArrowDiagram):
-        d = arrows_to_chords(d, conv)
-    _check_kinds(f, d, conv.eval_mode)
-    return _evaluate((f,), d, conv.orientation, conv.eval_mode)[0]
+    return _evaluate(f.kind, (f,), d, conv, conv.eval_mode)[0]
 
 
 def count_arrow_with_convention(
     p: Pattern, d: ArrowDiagram, conv: Convention
 ) -> int:
-    if conv.orientation is Orientation.CW:
-        p = mirror_pattern(p)
-    return count_arrow_pattern(p, d)
+    """count_arrow_pattern with the pattern read under conv's orientation."""
+    return _evaluate(PatternKind.ARROW, _single(p), d, conv, None)[0]
 
 
 def evaluate_all(
@@ -459,9 +450,6 @@ def evaluate_all(
     diagram and builds the tables only once, and counts each based pattern
     the formulas share once; the fuzz loop calls this once per move.
     """
-    for f in formulas:
-        if f.kind is not PatternKind.CHORD:
-            raise KindMismatchError("evaluate_all handles chord formulas")
-    if isinstance(d, ArrowDiagram):
-        d = arrows_to_chords(d, conv)
-    return _evaluate(tuple(formulas), d, conv.orientation, conv.eval_mode)
+    return _evaluate(
+        PatternKind.CHORD, tuple(formulas), d, conv, conv.eval_mode
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
 
-from .patterns import EvalMode, ParseError
+from .patterns import EvalMode, ParseError, _Cursor
 
 
 class Orientation(Enum):
@@ -155,74 +155,30 @@ def parse_diagram(text: str, line: int = 1) -> Diagram:
     fields being any run of spaces. Raises ParseError with line/column on
     syntax errors and InvalidDiagramError when the matching is broken.
     """
-    raw = text.rstrip("\n")
-    i = 0
-
-    def fail(message: str, col: int):
-        raise ParseError(message, line, col)
-
-    def skip_ws():
-        nonlocal i
-        while i < len(raw) and raw[i] == " ":
-            i += 1
-
-    skip_ws()
-    kind = None
-    for word in ("chords", "arrows"):
-        if raw.startswith(word, i):
-            kind = word
-            i += len(word)
-            break
-    if kind is None:
-        fail("expected 'chords' or 'arrows'", i + 1)
-    if not raw.startswith(";", i):
-        fail("expected ';' after kind", i + 1)
-    i += 1
-    skip_ws()
-    if not raw.startswith("n=", i):
-        fail("expected 'n='", i + 1)
-    i += 2
-    start = i
-    while i < len(raw) and raw[i].isdigit():
-        i += 1
-    if i == start:
-        fail("expected chord count", i + 1)
-    n = int(raw[start:i])
-    if not raw.startswith(";", i):
-        fail("expected ';' after chord count", i + 1)
-    i += 1
+    cur = _Cursor(text.rstrip("\n"), line)
+    cur.skip_ws()
+    kind = "chords" if cur.text.startswith("chords", cur.i) else "arrows"
+    cur.eat_word(kind, "expected 'chords' or 'arrows'")
+    cur.eat(";", "expected ';' after kind")
+    cur.skip_ws()
+    cur.eat_word("n=", "expected 'n='")
+    n = cur.eat_int("expected chord count")
+    cur.eat(";", "expected ';' after chord count")
 
     sep = "-" if kind == "chords" else ">"
     items: list[tuple[int, int, int]] = []
-    while True:
-        skip_ws()
-        if i >= len(raw):
-            break
-        start = i
-        while i < len(raw) and raw[i].isdigit():
-            i += 1
-        if i == start:
-            fail("expected slot number", i + 1)
-        a = int(raw[start:i])
-        if i >= len(raw) or raw[i] != sep:
-            fail(f"expected {sep!r} between endpoints", i + 1)
-        i += 1
-        start = i
-        while i < len(raw) and raw[i].isdigit():
-            i += 1
-        if i == start:
-            fail("expected slot number", i + 1)
-        b = int(raw[start:i])
-        if i >= len(raw) or raw[i] != ":":
-            fail("expected ':' before sign", i + 1)
-        i += 1
-        if i >= len(raw) or raw[i] not in "+-":
-            fail("expected sign '+' or '-'", i + 1)
-        s = 1 if raw[i] == "+" else -1
-        i += 1
+    cur.skip_ws()
+    while not cur.at_end():
+        a = cur.eat_int("expected slot number")
+        cur.eat(sep, f"expected {sep!r} between endpoints")
+        col = cur.i + 1
+        b = cur.eat_int("expected slot number")
+        cur.eat(":", "expected ':' before sign")
+        s = cur.eat_sign()
         if a == b:
-            fail(f"chord endpoints equal at slot {a}", start + 1)
+            raise ParseError(f"chord endpoints equal at slot {a}", line, col)
         items.append((a, b, s))
+        cur.skip_ws()
 
     d: Diagram
     if kind == "chords":

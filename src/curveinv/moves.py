@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .counting import evaluate_all
+from .counting import CROSS, NEST, SEQ, _signature, evaluate_all
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
 from .patterns import Formula
 
@@ -117,33 +117,25 @@ def _slot_maps(d: ArrowDiagram):
 
 
 # Triple-point decorations seen on diagrams of plane curves, keyed by the
-# pairwise-relation word (S/N/X) of the three arrows sorted by smaller slot.
-# A decoration entry is (d12, d13, d23): whether the arrow joining slot
-# pairs i and j points from the lower pair to the higher one.
+# pairwise-relation vector (counting._signature) of the three arrows read as
+# chords sorted by smaller slot. A decoration entry is (d12, d13, d23):
+# whether the arrow joining slot pairs i and j points from the lower pair to
+# the higher one.
 _T, _F = True, False
-_REALIZABLE: dict[str, frozenset[tuple[bool, bool, bool]]] = {
-    "XSX": frozenset({(_T, _T, _T), (_F, _F, _F)}),
-    "NNX": frozenset({(_T, _T, _T), (_F, _F, _F)}),
-    "XSN": frozenset({(_T, _F, _F), (_F, _T, _T)}),
-    "NXX": frozenset({(_T, _F, _F), (_F, _T, _T)}),
-    "XXX": frozenset({(_F, _T, _F), (_T, _F, _T)}),
-    "NNS": frozenset({(_F, _T, _F), (_T, _F, _T)}),
-    "XXN": frozenset({(_F, _F, _T), (_T, _T, _F)}),
-    "NXS": frozenset({(_F, _F, _T), (_T, _T, _F)}),
+_REALIZABLE: dict[tuple[int, ...], frozenset[tuple[bool, bool, bool]]] = {
+    (CROSS, SEQ, CROSS): frozenset({(_T, _T, _T), (_F, _F, _F)}),
+    (NEST, NEST, CROSS): frozenset({(_T, _T, _T), (_F, _F, _F)}),
+    (CROSS, SEQ, NEST): frozenset({(_T, _F, _F), (_F, _T, _T)}),
+    (NEST, CROSS, CROSS): frozenset({(_T, _F, _F), (_F, _T, _T)}),
+    (CROSS, CROSS, CROSS): frozenset({(_F, _T, _F), (_T, _F, _T)}),
+    (NEST, NEST, SEQ): frozenset({(_F, _T, _F), (_T, _F, _T)}),
+    (CROSS, CROSS, NEST): frozenset({(_F, _F, _T), (_T, _T, _F)}),
+    (NEST, CROSS, SEQ): frozenset({(_F, _F, _T), (_T, _T, _F)}),
 }
 
 
-def _rel_letter(c1: tuple[int, int], c2: tuple[int, int]) -> str:
-    # c1, c2 are (lo, hi) with c1[0] < c2[0].
-    if c1[1] < c2[0]:
-        return "S"
-    if c2[1] < c1[1]:
-        return "N"
-    return "X"
-
-
 def _r3_shape(d, partner, forward, trip):
-    """(relation word, decoration) of a candidate triple, or None if the
+    """(relation vector, decoration) of a candidate triple, or None if the
     three slot pairs are not joined pairwise by three arrows."""
     p, q, r = trip
     pairs = ((p, p + 1), (q, q + 1), (r, r + 1))
@@ -165,12 +157,7 @@ def _r3_shape(d, partner, forward, trip):
     )
     if len(chords) != 3:
         return None
-    word = (
-        _rel_letter(chords[0], chords[1])
-        + _rel_letter(chords[0], chords[2])
-        + _rel_letter(chords[1], chords[2])
-    )
-    return word, (decor[0], decor[1], decor[2])
+    return _signature(tuple(chords)), (decor[0], decor[1], decor[2])
 
 
 def _r3_admissible(shape, r3_variants: str) -> bool:
@@ -178,37 +165,34 @@ def _r3_admissible(shape, r3_variants: str) -> bool:
         return False
     if r3_variants == "all":
         return True
-    word, decor = shape
-    allowed = _REALIZABLE.get(word)
+    relations, decor = shape
+    allowed = _REALIZABLE.get(relations)
     return allowed is not None and decor in allowed
 
 
 def _r3_sites(d, partner, forward, r3_variants: str) -> list[MoveSite]:
+    """Every admissible triple-point site once, in (p, q, r) order.
+
+    A site is found from its first slot pair (p, p+1): both arrows there
+    lead right, the nearer one into the pair at q and the farther one into
+    the pair at r, and the other slots of those two pairs are joined.
+    """
     m = 2 * d.n
-    found: set[tuple[int, int, int]] = set()
-    for p in range(1, m):
-        a = partner[p]
-        b = partner[p + 1]
-        if a == p + 1:
-            continue
-        for sa in (a - 1, a):
-            if sa < 1 or sa + 1 > m:
-                continue
-            a2 = sa + 1 if a == sa else sa
-            for sb in (b - 1, b):
-                if sb < 1 or sb + 1 > m:
-                    continue
-                if len({p, p + 1, sa, sa + 1, sb, sb + 1}) != 6:
-                    continue
-                b2 = sb + 1 if b == sb else sb
-                if partner.get(a2) != b2:
-                    continue
-                found.add(tuple(sorted((p, sa, sb))))
     sites = []
-    for trip in sorted(found):
-        shape = _r3_shape(d, partner, forward, trip)
-        if _r3_admissible(shape, r3_variants):
-            sites.append(MoveSite(MoveKind.R3, trip))
+    for p in range(1, m):
+        x, y = sorted((partner[p], partner[p + 1]))
+        if x <= p + 1:
+            continue
+        for q in (x - 1, x):
+            for r in (y - 1, y):
+                if q < p + 2 or r < q + 2 or r >= m:
+                    continue
+                # 2q+1-x is the slot of pair q that x is not; same for r.
+                if partner[2 * q + 1 - x] != 2 * r + 1 - y:
+                    continue
+                shape = _r3_shape(d, partner, forward, (p, q, r))
+                if _r3_admissible(shape, r3_variants):
+                    sites.append(MoveSite(MoveKind.R3, (p, q, r)))
     return sites
 
 
@@ -496,6 +480,10 @@ def fuzz_invariance(
     reproducible independently of execution order, and every violation
     carries a log that replay() accepts.
     """
+    if trials < 0 or depth < 0:
+        raise ValueError(
+            f"trials and depth must be >= 0, got {trials} and {depth}"
+        )
     names = tuple(f.name for f in formulas)
     violations: list[FuzzViolation] = []
     for si, seed in enumerate(seeds):

@@ -131,24 +131,29 @@ class _Cursor:
         while self.peek() == " ":
             self.i += 1
 
-    def eat(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
+    def eat(self, chars: str, message: str | None = None) -> str:
+        """Consume and return one character out of `chars`."""
+        ch = self.peek()
+        # peek() is "" at the end of input, and "" is in every string.
+        if not ch or ch not in chars:
+            self.fail(message or f"expected {chars!r}")
         self.i += 1
+        return ch
 
-    def eat_int(self) -> int:
+    def eat_word(self, word: str, message: str):
+        if not self.text.startswith(word, self.i):
+            self.fail(message)
+        self.i += len(word)
+
+    def eat_int(self, message: str = "expected integer") -> int:
         m = _INT_RE.match(self.text, self.i)
         if not m:
-            self.fail("expected integer")
+            self.fail(message)
         self.i = m.end()
         return int(m.group())
 
     def eat_sign(self) -> int:
-        ch = self.peek()
-        if ch not in "+-":
-            self.fail("expected sign '+' or '-'")
-        self.i += 1
-        return 1 if ch == "+" else -1
+        return 1 if self.eat("+-", "expected sign '+' or '-'") == "+" else -1
 
     def at_end(self) -> bool:
         return self.i >= len(self.text)
@@ -164,10 +169,7 @@ def _parse_pattern_body(cur: _Cursor) -> Pattern:
     kind: PatternKind | None = None
     while True:
         a = cur.eat_int()
-        sep = cur.peek()
-        if sep not in "->":
-            cur.fail("expected '-' or '>' between endpoints")
-        cur.i += 1
+        sep = cur.eat("->", "expected '-' or '>' between endpoints")
         this_kind = PatternKind.CHORD if sep == "-" else PatternKind.ARROW
         if kind is None:
             kind = this_kind
@@ -221,14 +223,12 @@ def parse_formula(text: str, line: int = 1) -> Formula:
     name = m.group()
     cur.i = m.end()
     cur.skip_ws()
-    if not cur.text.startswith(":=", cur.i):
-        cur.fail("expected ':='")
-    cur.i += 2
+    cur.eat_word(":=", "expected ':='")
     cur.skip_ws()
     terms: list[tuple[int, Pattern]] = []
     while not cur.at_end():
         sign = 1
-        if cur.peek() in "+-":
+        if cur.peek() in ("+", "-"):
             sign = cur.eat_sign()
         elif terms:
             cur.fail("expected sign '+' or '-' before term")

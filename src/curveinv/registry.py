@@ -225,6 +225,8 @@ def calibrate(
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if formulas is None:
         formulas = builtin_formulas()
     braids = [gen_torus(k).diagram for k in (3, 5, 7)]

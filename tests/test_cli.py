@@ -185,6 +185,57 @@ def test_replay_stale_log(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_replay_reads_a_diagram_file(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("iR2_insert 0 2 down\n")
+    f = tmp_path / "d.txt"
+    f.write_text("# start\n" + TORUS3 + "\n")
+    code, out, _ = run(capsys, "replay", str(f), "--log", str(log))
+    assert code == 0
+    assert out.startswith("arrows; n=5;")
+
+
+def test_replay_requires_exactly_one_source(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("iR2_insert 0 2 down\n")
+    f = tmp_path / "d.txt"
+    f.write_text(TORUS3 + "\n")
+    code, out, err = run(capsys, "replay", "--log", str(log))
+    assert (code, out) == (2, "")
+    assert err == "error: give --code or a diagram file\n"
+    code, out, err = run(capsys, "replay", "--code", TORUS3, str(f),
+                         "--log", str(log))
+    assert (code, out) == (2, "")
+    assert "not both" in err
+    f.write_text(TORUS3 + "\n" + TORUS3 + "\n")
+    code, _, err = run(capsys, "replay", str(f), "--log", str(log))
+    assert code == 2 and "exactly one starting diagram" in err
+
+
+def test_replay_reports_file_line_of_bad_diagram(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("")
+    f = tmp_path / "d.txt"
+    f.write_text("# start\narrows; n=1; 1>1:+\n")
+    code, _, err = run(capsys, "replay", str(f), "--log", str(log))
+    assert code == 2
+    assert err == "error: line 2, col 16: chord endpoints equal at slot 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "--trials", "-3"),
+        ("fuzz", "--trials", "-2", "--depth", "3"),
+        ("fuzz", "--trials", "2", "--depth", "-4"),
+    ],
+)
+def test_negative_counts_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "must be >= 0" in err
+
+
 def test_calibrate_registry_file_with_comments_matches_builtin(capsys):
     from importlib import resources
 

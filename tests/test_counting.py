@@ -30,6 +30,7 @@ from curveinv import (
 from curveinv.counting import (
     KindMismatchError,
     count_arrow_pattern,
+    count_arrow_with_convention,
     count_embeddings,
     evaluate,
     evaluate_all,
@@ -146,11 +147,32 @@ def test_three_arrow_pattern_on_two_arrow_diagram(frozen):
     assert count_arrow_pattern(frozen.triangle, d) == 0
 
 
-def test_kind_mismatch_rejected(frozen):
-    with pytest.raises(KindMismatchError):
-        count_embeddings(frozen.triangle, ALL_INTERLEAVED_3, EvalMode.WEIGHTED)
-    with pytest.raises(KindMismatchError):
-        count_arrow_pattern(CROSSED, gen_torus(3).diagram)
+def test_kind_mismatch_rejected(frozen, conv):
+    arrows = gen_torus(3).diagram
+    chords = ALL_INTERLEAVED_3
+    tri = frozen.triangle
+    arrow_formula = Formula("T", ((1, tri),))
+    chord_formula = builtin_formula("I2_1")
+    w = EvalMode.WEIGHTED
+    calls = [
+        lambda: count_embeddings(tri, chords, w),
+        lambda: count_embeddings(tri, arrows, w),
+        lambda: count_embeddings(CROSSED, arrows, w),
+        lambda: count_arrow_pattern(CROSSED, arrows),
+        lambda: count_arrow_pattern(tri, chords),
+        lambda: count_arrow_with_convention(CROSSED, arrows, conv),
+        lambda: count_arrow_with_convention(tri, chords, conv),
+        lambda: evaluate(chord_formula, arrows, w),
+        lambda: evaluate(arrow_formula, chords),
+        lambda: evaluate_with_convention(arrow_formula, chords, conv),
+        lambda: evaluate_all([chord_formula, arrow_formula], arrows, conv),
+        lambda: evaluate_all([arrow_formula], chords, conv),
+    ]
+    for call in calls:
+        with pytest.raises(KindMismatchError):
+            call()
+    with pytest.raises(ValueError, match="explicit EvalMode"):
+        evaluate(chord_formula, chords)
 
 
 def test_evaluate_with_convention_mirrors_for_clockwise(formulas):

@@ -143,6 +143,13 @@ def test_parse_error_positions(text, line, col, message):
     assert (err.line, err.col, err.message) == (line, col, message)
 
 
+def test_parse_rejects_non_decimal_digit_as_position_error():
+    # "²" passes str.isdigit() but int() refuses it.
+    with pytest.raises(ParseError) as info:
+        parse_diagram("chords; n=²;")
+    assert (info.value.col, info.value.message) == (11, "expected chord count")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_random_matchings(seed):

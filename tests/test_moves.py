@@ -271,6 +271,13 @@ def test_fuzz_zero_depth_is_vacuous(formulas, conv):
     assert report.format() == "OK trials=5 depth=0 seeds=1"
 
 
+@pytest.mark.parametrize("trials,depth", [(-2, 3), (2, -4)])
+def test_fuzz_rejects_negative_trials_or_depth(formulas, conv, trials, depth):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        fuzz_invariance(formulas, [gen_torus(3)], trials=trials, depth=depth,
+                        rng_seed=0, convention=conv)
+
+
 def test_fuzz_clean_run(formulas, conv):
     report = fuzz_invariance(formulas, default_fuzz_seeds(), trials=8,
                              depth=12, rng_seed=123, convention=conv)

@@ -59,6 +59,20 @@ def test_parse_error_carries_position():
     assert info.value.col == 8
 
 
+@pytest.mark.parametrize(
+    "text,col,message",
+    [
+        ("[1-2:", 6, "expected sign '+' or '-'"),
+        ("[1", 3, "expected '-' or '>' between endpoints"),
+        ("[1-2:+", 7, "expected ']'"),
+    ],
+)
+def test_parse_errors_at_end_of_input(text, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_pattern(text)
+    assert (info.value.col, info.value.message) == (col, message)
+
+
 def test_chord_endpoints_canonicalized():
     p = Pattern(k=2, kind=PatternKind.CHORD, chords=((4, 2, 1), (3, 1, ANY)))
     assert p.chords == ((1, 3, ANY), (2, 4, 1))

@@ -115,6 +115,11 @@ def test_calibrate_rejects_empty_seeds():
         calibrate([], trials=10, rng_seed=0)
 
 
+def test_calibrate_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        calibrate([gen_cabc(1, 1, 1)], trials=-3, rng_seed=0)
+
+
 def test_calibrate_zero_trials_flags_insufficient_evidence():
     report = calibrate([gen_cabc(1, 1, 1)], trials=0, rng_seed=0)
     assert report.insufficient_evidence
