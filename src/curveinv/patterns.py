@@ -110,6 +110,7 @@ def pattern_violations(p: Pattern) -> list[str]:
 
 
 _INT_RE = re.compile(r"\d+")
+_SPACES_RE = re.compile(" *")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -125,16 +126,15 @@ class _Cursor:
         raise ParseError(message, self.line, self.i + 1)
 
     def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
+        return self.text[self.i:self.i + 1]
 
     def skip_ws(self):
-        while self.peek() == " ":
-            self.i += 1
+        self.i = _SPACES_RE.match(self.text, self.i).end()
 
     def eat(self, chars: str, message: str | None = None) -> str:
         """Consume and return one character out of `chars`."""
-        ch = self.peek()
-        # peek() is "" at the end of input, and "" is in every string.
+        ch = self.text[self.i:self.i + 1]
+        # ch is "" at the end of input, and "" is in every string.
         if not ch or ch not in chars:
             self.fail(message or f"expected {chars!r}")
         self.i += 1
