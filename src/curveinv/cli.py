@@ -115,6 +115,8 @@ def _load_seeds(args) -> list:
         d = parse_diagram(raw, line=lineno)
         if not isinstance(d, ArrowDiagram):
             raise ValueError(f"line {lineno}: fuzz seeds must be arrow diagrams")
+        if any(s != 1 for _, _, s in d.arrows):  # the invariants' domain
+            raise ValueError(f"line {lineno}: fuzz seeds need positive arrows")
         seeds.append(d)
     if not seeds:
         raise ValueError("seed file holds no diagrams")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import count, islice
+from typing import NamedTuple
 
 from .patterns import EvalMode, ParseError, _Cursor
 
@@ -70,6 +72,20 @@ class SignedChordDiagram:
         object.__setattr__(self, "chords", tuple(fixed))
 
 
+class SlotTable(NamedTuple):
+    """Per-slot view of an arrow diagram, three tuples indexed 0..2n+1.
+
+    partner[x] is the other end of the arrow at slot x, forward[x] whether
+    that arrow's tail comes before its head, sign[x] its sign. Slots 0 and
+    2n+1 are sentinels (partner -1, forward False, sign 0), so a lookup one
+    step past either end reads as "no arrow here" without a bounds check.
+    """
+
+    partner: tuple[int, ...]
+    forward: tuple[bool, ...]
+    sign: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class ArrowDiagram:
     """Perfect matching of slots 1..2n by directed (tail, head, sign) arrows."""
@@ -80,6 +96,18 @@ class ArrowDiagram:
     def __post_init__(self):
         fixed = sorted(self.arrows, key=lambda ar: (min(ar[0], ar[1]), ar))
         object.__setattr__(self, "arrows", tuple(fixed))
+
+    @cached_property
+    def slots(self) -> SlotTable:
+        """The slot table of a valid diagram, built on first use and kept
+        with this value; it takes no part in equality or hashing."""
+        size = 2 * self.n + 2
+        partner, forward, sign = [-1] * size, [False] * size, [0] * size
+        for t, h, s in self.arrows:
+            partner[t], partner[h] = h, t
+            forward[t] = forward[h] = t < h
+            sign[t] = sign[h] = s
+        return SlotTable(tuple(partner), tuple(forward), tuple(sign))
 
 
 @dataclass(frozen=True)

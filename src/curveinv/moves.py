@@ -10,11 +10,15 @@ triple-point move is its own inverse.
 The base point sits between the top slot and slot 1 and is never crossed:
 arcs are indexed 0..2n, where arc g lies between slot g and slot g+1 (arc 0
 starts at the base point, arc 2n ends at it).
+
+Site finders and applies read partners, directions and signs from the
+diagram's slot table (ArrowDiagram.slots), built at most once per diagram.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -37,19 +41,14 @@ class Variant(Enum):
     DOWN = "down"
 
 
-# Canonical kind order; site sampling and logs follow it.
-KIND_ORDER = (
-    MoveKind.IR2_INSERT,
-    MoveKind.IR2_DELETE,
-    MoveKind.R3,
-    MoveKind.DR2_INSERT,
-    MoveKind.DR2_DELETE,
-)
+# Canonical kind order (definition order); site sampling and logs follow it.
+KIND_ORDER = tuple(MoveKind)
 
 INVARIANCE_KINDS = (MoveKind.IR2_INSERT, MoveKind.IR2_DELETE, MoveKind.R3)
 
 _INSERT_KINDS = (MoveKind.IR2_INSERT, MoveKind.DR2_INSERT)
 _DELETE_KINDS = (MoveKind.IR2_DELETE, MoveKind.DR2_DELETE)
+_VARIANTS = tuple(Variant)  # insert-site order: up before down
 
 STOPPED_EARLY = "# stopped early: no applicable sites"
 
@@ -62,9 +61,10 @@ class StaleSiteError(ValueError):
 class MoveSite:
     """One applicable move.
 
-    data layout: inserts (arc1, arc2, Variant) with arc1 <= arc2; deletes
-    (p,) with p the smaller slot of the first arrow of the pair; triple
-    points (p, q, r), the starts of the three swapped slot pairs.
+    data layout (field types in _FIELDS): inserts (arc1, arc2, Variant)
+    with arc1 <= arc2; deletes (p,) with p the smaller slot of the first
+    arrow of the pair; triple points (p, q, r), the starts of the three
+    swapped slot pairs.
     """
 
     kind: MoveKind
@@ -77,43 +77,29 @@ class MoveSite:
         return " ".join(parts)
 
 
-_BY_VALUE = {k.value: k for k in MoveKind}
+# The one schema of MoveSite.data: field types per kind. Move lines are
+# parsed field by field with these types, and apply_move refuses data that
+# does not match them exactly (so True is not slot 1).
+_FIELDS: dict[MoveKind, tuple[type, ...]] = {
+    MoveKind.IR2_INSERT: (int, int, Variant),
+    MoveKind.IR2_DELETE: (int,),
+    MoveKind.R3: (int, int, int),
+    MoveKind.DR2_INSERT: (int, int, Variant),
+    MoveKind.DR2_DELETE: (int,),
+}
 
 
 def parse_move_line(text: str) -> MoveSite:
     parts = text.split()
-    if not parts or parts[0] not in _BY_VALUE:
-        raise ValueError(f"bad move line: {text!r}")
-    kind = _BY_VALUE[parts[0]]
-    args = parts[1:]
     try:
-        if kind in _INSERT_KINDS:
-            if len(args) != 3:
-                raise ValueError
-            data = (int(args[0]), int(args[1]), Variant(args[2]))
-        elif kind in _DELETE_KINDS:
-            if len(args) != 1:
-                raise ValueError
-            data = (int(args[0]),)
-        else:
-            if len(args) != 3:
-                raise ValueError
-            data = (int(args[0]), int(args[1]), int(args[2]))
-    except ValueError:
+        kind = MoveKind(parts[0])
+        fields = _FIELDS[kind]
+        if len(parts) != len(fields) + 1:
+            raise ValueError
+        data = tuple(f(x) for f, x in zip(fields, parts[1:]))
+    except (IndexError, ValueError):
         raise ValueError(f"bad move line: {text!r}") from None
     return MoveSite(kind, data)
-
-
-def _slot_maps(d: ArrowDiagram):
-    partner: dict[int, int] = {}
-    forward: dict[int, bool] = {}
-    sign: dict[int, int] = {}
-    for t, h, s in d.arrows:
-        partner[t] = h
-        partner[h] = t
-        forward[t] = forward[h] = t < h
-        sign[t] = sign[h] = s
-    return partner, forward, sign
 
 
 # Triple-point decorations seen on diagrams of plane curves, keyed by the
@@ -134,43 +120,34 @@ _REALIZABLE: dict[tuple[int, ...], frozenset[tuple[bool, bool, bool]]] = {
 }
 
 
-def _r3_shape(d, partner, forward, trip):
-    """(relation vector, decoration) of a candidate triple, or None if the
-    three slot pairs are not joined pairwise by three arrows."""
-    p, q, r = trip
-    pairs = ((p, p + 1), (q, q + 1), (r, r + 1))
-    slots = [x for pair in pairs for x in pair]
-    if len(set(slots)) != 6 or slots[0] < 1 or max(slots) > 2 * d.n:
-        return None
-    decor = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            x0, x1 = pairs[i]
-            if partner.get(x0) in pairs[j]:
-                decor.append(forward[x0])
-            elif partner.get(x1) in pairs[j]:
-                decor.append(forward[x1])
-            else:
-                return None
-    chords = sorted(
-        {(min(x, partner[x]), max(x, partner[x])) for x in slots}
-    )
-    if len(chords) != 3:
-        return None
-    return _signature(tuple(chords)), (decor[0], decor[1], decor[2])
-
-
-def _r3_admissible(shape, r3_variants: str) -> bool:
-    if shape is None:
+def _is_r3_site(d: ArrowDiagram, p, q, r, r3_variants: str) -> bool:
+    """Whether slot pairs (p, p+1), (q, q+1), (r, r+1) lie in order inside
+    1..2n, are joined pairwise by three arrows, and carry a decoration that
+    r3_variants admits: "all", or "realizable" (listed in _REALIZABLE)."""
+    if not (1 <= p and p + 2 <= q and q + 2 <= r and r < 2 * d.n):
         return False
+    partner, forward, _ = d.slots
+    pairs = ((p, p + 1), (q, q + 1), (r, r + 1))
+    decor = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        x0, x1 = pairs[i]
+        if partner[x0] in pairs[j]:
+            decor.append(forward[x0])
+        elif partner[x1] in pairs[j]:
+            decor.append(forward[x1])
+        else:
+            return False
     if r3_variants == "all":
         return True
-    relations, decor = shape
-    allowed = _REALIZABLE.get(relations)
-    return allowed is not None and decor in allowed
+    # The three arrows as chords in lo order: every lower end is in pair p
+    # or pair q.
+    chords = tuple(
+        (x, partner[x]) for x in (p, p + 1, q, q + 1) if partner[x] > x
+    )
+    return tuple(decor) in _REALIZABLE.get(_signature(chords), ())
 
 
-def _r3_sites(d, partner, forward, r3_variants: str) -> list[MoveSite]:
+def _r3_sites(d: ArrowDiagram, r3_variants: str) -> list[MoveSite]:
     """Every admissible triple-point site once, in (p, q, r) order.
 
     A site is found from its first slot pair (p, p+1): both arrows there
@@ -178,9 +155,11 @@ def _r3_sites(d, partner, forward, r3_variants: str) -> list[MoveSite]:
     the pair at r, and the other slots of those two pairs are joined.
     """
     m = 2 * d.n
+    partner = d.slots.partner
     sites = []
     for p in range(1, m):
-        x, y = sorted((partner[p], partner[p + 1]))
+        a, b = partner[p], partner[p + 1]
+        x, y = (a, b) if a < b else (b, a)
         if x <= p + 1:
             continue
         for q in (x - 1, x):
@@ -190,29 +169,27 @@ def _r3_sites(d, partner, forward, r3_variants: str) -> list[MoveSite]:
                 # 2q+1-x is the slot of pair q that x is not; same for r.
                 if partner[2 * q + 1 - x] != 2 * r + 1 - y:
                     continue
-                shape = _r3_shape(d, partner, forward, (p, q, r))
-                if _r3_admissible(shape, r3_variants):
+                if _is_r3_site(d, p, q, r, r3_variants):
                     sites.append(MoveSite(MoveKind.R3, (p, q, r)))
     return sites
 
 
-def _starts_delete_pair(kind, p, partner, forward, sign, m) -> bool:
-    """Whether slot p is the smaller slot of a positive arrow whose mate
-    (the positive arrow at p+1) makes a deletable pair of the given kind."""
+def _delete_slots(d: ArrowDiagram, kind: MoveKind, p: int) -> list[int]:
+    """The four slots, ascending, of the deletable pair of the given kind
+    that starts at slot p (in 1..2n), or [] if there is none. The pair is a
+    positive arrow from p and its mate, the positive arrow at p+1 with the
+    opposite direction, nested inside it (iR2) or crossing it (dR2)."""
+    partner, forward, sign = d.slots
     q = partner[p]
-    if q < p or sign[p] != 1:
-        return False
-    if kind is MoveKind.IR2_DELETE:
-        mate_lo, mate_hi = p + 1, q - 1
-        if q < p + 3:
-            return False
-    else:
-        mate_lo, mate_hi = p + 1, q + 1
-        if q < p + 2 or q + 1 > m:
-            return False
-    if partner.get(mate_lo) != mate_hi:
-        return False
-    return sign[mate_lo] == 1 and forward[p] != forward[mate_lo]
+    mate = q - 1 if kind is MoveKind.IR2_DELETE else q + 1
+    if (
+        q > p + 1
+        and partner[p + 1] == mate
+        and sign[p] == sign[p + 1] == 1
+        and forward[p] != forward[p + 1]
+    ):
+        return sorted((p, p + 1, q, mate))
+    return []
 
 
 def insert_site_count(d: ArrowDiagram) -> int:
@@ -229,44 +206,46 @@ def _unrank_insert(kind: MoveKind, d: ArrowDiagram, index: int) -> MoveSite:
     while pair_rank >= arcs - g1:
         pair_rank -= arcs - g1
         g1 += 1
-    return MoveSite(kind, (g1, g1 + pair_rank, (Variant.UP, Variant.DOWN)[vi]))
+    return MoveSite(kind, (g1, g1 + pair_rank, _VARIANTS[vi]))
 
 
 def find_sites(
     d: ArrowDiagram, kind: MoveKind, r3_variants: str = "realizable"
 ) -> list[MoveSite]:
-    """All sites of one kind, duplicate-free, in canonical order.
+    """All sites of one kind, duplicate-free, in canonical order: inserts by
+    arc1, then arc2, then up before down; deletes and triple points by slot.
 
     r3_variants is "realizable" (only decorations plane curves produce) or
     "all" (any pairwise-joined triple).
     """
     if kind in _INSERT_KINDS:
+        arcs = range(2 * d.n + 1)
         return [
-            _unrank_insert(kind, d, i) for i in range(insert_site_count(d))
+            MoveSite(kind, (g1, g2, v))
+            for g1 in arcs
+            for g2 in arcs[g1:]
+            for v in _VARIANTS
         ]
-    partner, forward, sign = _slot_maps(d)
     if kind in _DELETE_KINDS:
-        lows = (min(t, h) for t, h, _ in d.arrows)
+        # Only lower ends qualify; the sentinels (partner -1) never do.
         return [
-            MoveSite(kind, (p,)) for p in lows
-            if _starts_delete_pair(kind, p, partner, forward, sign, 2 * d.n)
+            MoveSite(kind, (p,))
+            for p, q in enumerate(d.slots.partner)
+            if q > p + 1 and _delete_slots(d, kind, p)
         ]
-    return _r3_sites(d, partner, forward, r3_variants)
+    return _r3_sites(d, r3_variants)
 
 
 def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     g1, g2, variant = site.data
-    m = 2 * d.n
-    if not (0 <= g1 <= g2 <= m) or not isinstance(variant, Variant):
+    if not 0 <= g1 <= g2 <= 2 * d.n:
         raise StaleSiteError(f"insert arcs out of range: {site.format()}")
-    relabeled = [
-        (
-            t + 2 * (t > g1) + 2 * (t > g2),
-            h + 2 * (h > g1) + 2 * (h > g2),
-            s,
-        )
+    # A slot moves up by 2 for each chosen arc below it.
+    cuts = (g1, g2)
+    relabeled = tuple(
+        (t + 2 * bisect_left(cuts, t), h + 2 * bisect_left(cuts, h), s)
         for t, h, s in d.arrows
-    ]
+    )
     s1, s2 = g1 + 1, g2 + 3
     up = variant is Variant.UP
     if site.kind is MoveKind.IR2_INSERT:
@@ -277,43 +256,27 @@ def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
         # Crossed pair, opposite directions.
         outer = (s1, s2, 1) if up else (s2, s1, 1)
         inner = (s2 + 1, s1 + 1, 1) if up else (s1 + 1, s2 + 1, 1)
-    return ArrowDiagram(n=d.n + 2, arrows=tuple(relabeled) + (outer, inner))
+    return ArrowDiagram(n=d.n + 2, arrows=relabeled + (outer, inner))
 
 
 def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
-    m = 2 * d.n
-    partner, forward, sign = _slot_maps(d)
-    p = site.data[0] if len(site.data) == 1 else None
-    if p not in range(1, m + 1) or not _starts_delete_pair(
-        site.kind, p, partner, forward, sign, m
-    ):
+    (p,) = site.data
+    removed = 1 <= p <= 2 * d.n and _delete_slots(d, site.kind, p)
+    if not removed:
         raise StaleSiteError(f"stale delete site: {site.format()}")
-    q = partner[p]
-    if site.kind is MoveKind.IR2_DELETE:
-        removed = sorted((p, q, p + 1, q - 1))
-    else:
-        removed = sorted((p, q, p + 1, q + 1))
-    gone = set(removed)
-    kept = []
-    for t, h, s in d.arrows:
-        if t in gone:
-            continue
-        shift_t = sum(1 for x in removed if x < t)
-        shift_h = sum(1 for x in removed if x < h)
-        kept.append((t - shift_t, h - shift_h, s))
-    return ArrowDiagram(n=d.n - 2, arrows=tuple(kept))
+    kept = tuple(
+        (t - bisect_left(removed, t), h - bisect_left(removed, h), s)
+        for t, h, s in d.arrows
+        if t not in removed
+    )
+    return ArrowDiagram(n=d.n - 2, arrows=kept)
 
 
 def _apply_r3(
     d: ArrowDiagram, site: MoveSite, r3_variants: str
 ) -> ArrowDiagram:
-    trip = site.data
-    p, q, r = trip
-    if not (p + 2 <= q and q + 2 <= r):
-        raise StaleSiteError(f"stale triple-point site: {site.format()}")
-    partner, forward, _ = _slot_maps(d)
-    shape = _r3_shape(d, partner, forward, trip)
-    if not _r3_admissible(shape, r3_variants):
+    p, q, r = site.data
+    if not _is_r3_site(d, p, q, r, r3_variants):
         raise StaleSiteError(f"stale triple-point site: {site.format()}")
     swap = {p: p + 1, p + 1: p, q: q + 1, q + 1: q, r: r + 1, r + 1: r}
     arrows = tuple(
@@ -325,7 +288,13 @@ def _apply_r3(
 def apply_move(
     d: ArrowDiagram, site: MoveSite, r3_variants: str = "realizable"
 ) -> ArrowDiagram:
-    """Apply one move; raises StaleSiteError if the site does not fit d."""
+    """Apply one move; raises StaleSiteError if the site does not fit d,
+    malformed site data included."""
+    fields = _FIELDS[site.kind]
+    if len(site.data) != len(fields) or any(
+        type(x) is not f for x, f in zip(site.data, fields)
+    ):
+        raise StaleSiteError(f"malformed site data: {site!r}")
     if site.kind in _INSERT_KINDS:
         return _apply_insert(d, site)
     if site.kind in _DELETE_KINDS:

@@ -122,6 +122,18 @@ def test_fuzz_seed_file(tmp_path, capsys):
     assert code == 0 and "seeds=1" in out
 
 
+def test_fuzz_seed_file_refuses_negative_arrows(tmp_path, capsys):
+    # The invariants hold on all-positive arrow diagrams only; this seed
+    # would otherwise report violations that are not faults.
+    f = tmp_path / "seeds.txt"
+    f.write_text("# one good seed, then one with a negative arrow\n"
+                 + TORUS3 + "\narrows; n=3; 1>4:- 5>2:+ 3>6:+\n")
+    code, out, err = run(capsys, "fuzz", "--seeds", str(f), "--trials", "2",
+                         "--depth", "4")
+    assert code == 2 and out == ""
+    assert "line 3" in err and "need positive arrows" in err
+
+
 def test_fuzz_with_control_moves_fails(capsys):
     code, out, _ = run(
         capsys, "fuzz", "--trials", "20", "--depth", "10",

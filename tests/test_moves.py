@@ -23,7 +23,7 @@ from curveinv import (
     serialize_diagram,
     validate,
 )
-from curveinv.moves import INVARIANCE_KINDS
+from curveinv.moves import INVARIANCE_KINDS, Variant, walk
 from curveinv.patterns import Formula
 from curveinv.registry import builtin_formulas, default_fuzz_seeds
 from helpers import (
@@ -61,6 +61,11 @@ def test_insert_site_enumeration_is_complete(kind):
         sites = find_sites(d, kind)
         assert len(sites) == insert_site_count(d)
         assert len({s.data for s in sites}) == len(sites)
+        # Documented order: arc1 ascending, arc2 ascending, up before down.
+        order = {Variant.UP: 0, Variant.DOWN: 1}
+        keys = [(g1, g2, order[v]) for g1, g2, v in (s.data for s in sites)]
+        assert keys == sorted(keys)
+        assert all(s.kind is kind for s in sites)
 
 
 def test_site_lines_round_trip():
@@ -239,6 +244,42 @@ def test_stale_sites_rejected():
         apply_move(tor, MoveSite(MoveKind.IR2_DELETE, (1,)))
     with pytest.raises(StaleSiteError):
         apply_move(tor, MoveSite(MoveKind.IR2_INSERT, (99, 99, "up")))
+    # Malformed data is a stale site for every kind, never a raw
+    # ValueError or TypeError, and True is not slot 1.
+    malformed = [
+        (MoveKind.IR2_INSERT, (1, 2)),
+        (MoveKind.IR2_INSERT, ("1", 2, Variant.UP)),
+        (MoveKind.DR2_INSERT, (1, 2, Variant.UP, 0)),
+        (MoveKind.R3, (1, 3)),
+        (MoveKind.R3, ("1", 3, 5)),
+        (MoveKind.R3, (1, 3, 5.0)),
+        (MoveKind.DR2_DELETE, ()),
+    ]
+    for kind, data in malformed:
+        with pytest.raises(StaleSiteError):
+            apply_move(tor, MoveSite(kind, data))
+    pair = parse_diagram("arrows; n=2; 1>4:+ 3>2:+")
+    assert apply_move(pair, MoveSite(MoveKind.IR2_DELETE, (1,))) == EMPTY
+    with pytest.raises(StaleSiteError):
+        apply_move(pair, MoveSite(MoveKind.IR2_DELETE, (True,)))
+
+
+def test_balanced_walk_builds_each_slot_table_once(monkeypatch):
+    built = []
+    table = ArrowDiagram.__dict__["slots"]
+    build = table.func
+
+    def counting_build(d):
+        built.append(d)  # keeps d alive, so ids stay distinct
+        return build(d)
+
+    monkeypatch.setattr(table, "func", counting_build)
+    d = gen_cabc(0, 4, 4).diagram
+    seen = [d]
+    for _, d in walk(d, random.Random(4), 200, random_site_balanced):
+        seen.append(d)
+    assert 0 < len(built) <= len(seen)
+    assert len({id(x) for x in built}) == len(built)
 
 
 def test_random_site_draws_from_found_sites():
