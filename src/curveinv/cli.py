@@ -150,6 +150,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     conv = _convention_from(args)
     formulas = builtin_formulas()
     print("k " + " ".join(FORMULA_NAMES))

@@ -10,26 +10,24 @@ rotations (by inclusion-exclusion where rotations of one configuration
 differ only in sign constraints), which the compiled plan lists as based
 patterns of their own.
 
-The counting kernel is exact and takes O(n^2) time and memory. Items
-(chords, or arrows read as chords) are indexed in smaller-endpoint order.
-For items i < j the relation of i to j depends only on where hi_i falls
-relative to j's endpoints: SEQ when hi_i is in (0, lo_j), CROSS when it is
-in (lo_j, hi_j), NEST when it is in (hi_j, 2n+1). A term's first role then
-enters through one prefix-sum table F[j, y], the sum of its filter over
-items i < j with hi_i < y, and the items of that role in any open interval
-for any j are two lookups. A degree-2 term is two lookups per j; a
-degree-3 term is two lookups per pair (j, l) in its last relation, in the
-intersection of the two intervals its first role must meet. Filters are
-0 or +-1 per item, so |F| <= n and int32 tables are exact; final sums are
-accumulated in int64 and returned as Python ints. Degree >= 4 terms
-classify every subset by its relation vector. An independent brute-force
-oracle lives in oracle.py and shares no code with this path.
+The kernel is exact and has one path for every degree k >= 2. Items
+(chords, or arrows read as chords) are indexed in smaller-endpoint order;
+for i < j the relation of i to j is SEQ, CROSS or NEST as hi_i lies in
+(0, lo_j), (lo_j, hi_j) or (hi_j, 2n+1). A term's roles 2..k are realized
+as index tuples: every item for k = 2, else the pair list of the roles-2/3
+relation joined with the pair list of each next consecutive relation and
+filtered by the others. Role 1 enters through a prefix-sum table F[j, y]
+(its filter summed over items i < j with hi_i < y): two lookups per tuple,
+at the tuple endpoints next to role 1's hi in the pattern. Tables take
+O(n^2) time and memory, joins time linear in the tuples they build. Joins
+run depth first on at most _BLOCK + n candidates at a time, so memory
+stays O(n^2 + k^2 _BLOCK). Sums are exact (int32 tables, int64 totals).
+An independent brute-force oracle in oracle.py shares no code with this.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from itertools import combinations
 from typing import NamedTuple
 
@@ -67,22 +65,6 @@ def _relation(lo1: int, hi1: int, lo2: int, hi2: int) -> int:
     return CROSS
 
 
-def _perfect_matchings(k: int):
-    """All perfect matchings of slots 1..2k as lo-sorted (a, b) tuples."""
-    def rec(rem: tuple[int, ...]):
-        if not rem:
-            yield ()
-            return
-        a = rem[0]
-        for i in range(1, len(rem)):
-            b = rem[i]
-            rest = rem[1:i] + rem[i + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    return list(rec(tuple(range(1, 2 * k + 1))))
-
-
 def _signature(matching: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Pairwise relation vector of a lo-sorted matching."""
     return tuple(
@@ -91,55 +73,67 @@ def _signature(matching: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     )
 
 
-def _check_signature_injectivity():
-    # The counting path identifies a configuration by its pairwise relation
-    # vector; that is only sound if the vector determines the matching.
-    for k in (2, 3, 4):
-        sigs = [_signature(m) for m in _perfect_matchings(k)]
-        assert len(sigs) == len(set(sigs))
+# Candidates one join of DiagramTables._grow takes at a time (plus at most
+# n): the memory bound of degree >= 4 counts.
+_BLOCK = 1 << 16
 
-
-_check_signature_injectivity()
+LO, HI, BOTTOM, TOP = 0, 1, 2, 3
 
 
 class Term(NamedTuple):
     """A based pattern compiled for counting.
 
-    ``signature`` is the pairwise relation vector of the roles, which are
-    the pattern chords sorted by smaller endpoint (the lo-order of any
-    embedded diagram items). ``roles`` holds one filter key per role: its
-    sign constraint and, for arrow patterns, whether it points forward
-    (None for chord patterns).
+    ``signature`` is the pairwise relation vector of the roles (the pattern
+    chords in lo-order); ``roles`` holds per role its sign constraint and,
+    for arrow patterns, whether it points forward (else None). The kernel
+    holds roles 2..k at tuple positions 0..k-2: ``steps`` lists per m >= 1
+    the relation of m-1 to m and the (position, relation) pairs of 0..m-2
+    to m; ``ends`` the (position, LO or HI) endpoints next to role 1's hi
+    in the pattern, (0, BOTTOM) or (0, TOP) if none.
     """
 
     signature: tuple[int, ...]
     roles: tuple[tuple[int, bool | None], ...]
+    steps: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    ends: tuple[tuple[int, int], tuple[int, int]]
 
 
 def _term(p: Pattern) -> Term:
     matching = tuple((min(a, b), max(a, b)) for a, b, _ in p.chords)
     arrow = p.kind is PatternKind.ARROW
+    signature = _signature(matching)
+    # Relations among roles 2..k, keyed by tuple position.
+    rel = dict(zip(combinations(range(p.k - 1), 2), signature[p.k - 1:]))
+    hi1 = matching[0][1]
+    slots = [(0, (0, BOTTOM)), (2 * p.k + 1, (0, TOP))] + [
+        (x, (q, side))
+        for q, chord in enumerate(matching[1:])
+        for x, side in zip(chord, (LO, HI))
+    ]
+    below = max(s for s in slots if s[0] < hi1)[1]
+    above = min(s for s in slots if s[0] > hi1)[1]
     return Term(
-        _signature(matching),
+        signature,
         tuple((c, a < b if arrow else None) for a, b, c in p.chords),
+        tuple(
+            (rel[m - 1, m], tuple((i, rel[i, m]) for i in range(m - 1)))
+            for m in range(1, p.k - 1)
+        ),
+        (below, above),
     )
 
 
 class DiagramTables:
-    """Per-diagram tables for the interval/prefix-sum counting kernel.
+    """Per-diagram tables for the counting kernel.
 
     Index i is the i-th chord or arrow in smaller-endpoint order, the order
     both diagram types are stored in. ``codes`` holds the relation of i to
-    j for i < j as int8 (-1 on and below the diagonal); ``bounds[r]`` holds
-    per item j the (start, stop) arrays of the open interval in which hi_i
-    lies exactly when an earlier item i stands in relation r to j. Its ends
-    are 0, 2n+1 or endpoints of j, never hi_i, so the items inside are
-    F[j, stop] - F[j, start]. Role filters, the int32 prefix-sum tables F
-    of shape (n+1, 2n+2) and the (j, l) pair list of each relation are
-    built on first use and kept, so terms sharing them build them once. F
-    is exact in int32 because a filter is 0 or +-1 per item, so |F| <= n.
-    Tables over arrow diagrams also keep each arrow's direction, which
-    arrow patterns filter on beside the sign.
+    j for i < j as int8 (-1 on and below the diagonal); ``ends`` the item
+    lo, hi, 0 and 2n+1 arrays, indexed by LO, HI, BOTTOM and TOP. Role
+    filters, the int32 prefix-sum tables F of shape (n+1, 2n+2) and each
+    relation's (j, l) pair list are built on first use and kept. F is exact
+    in int32 because a filter is 0 or +-1 per item, so |F| <= n. Arrow
+    tables also keep each arrow's direction, which arrow patterns filter on.
     """
 
     def __init__(self, d: SignedChordDiagram | ArrowDiagram):
@@ -150,17 +144,12 @@ class DiagramTables:
         self.signs = signs.astype(np.int32)
         self.forward = None if is_chords else tail < head
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-        self.hi = hi
-        codes = np.full((n, n), CROSS, dtype=np.int8)
+        self.codes = codes = np.full((n, n), CROSS, dtype=np.int8)
         codes[hi[None, :] < hi[:, None]] = NEST
         codes[hi[:, None] < lo[None, :]] = SEQ
         codes[np.tri(n, dtype=bool)] = -1
-        self.codes = codes
-        self.bounds = {
-            SEQ: (np.zeros_like(lo), lo),
-            CROSS: (lo, hi),
-            NEST: (hi, np.full_like(hi, 2 * n + 1)),
-        }
+        self.items = np.arange(n)
+        self.ends = (lo, hi, np.zeros_like(lo), np.full_like(hi, 2 * n + 1))
         self._roles: dict[tuple, np.ndarray] = {}
         self._prefixes: dict[tuple, np.ndarray] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -187,19 +176,11 @@ class DiagramTables:
         if table is None:
             n = self.n
             table = np.zeros((n + 1, 2 * n + 2), dtype=np.int32)
-            table[np.arange(1, n + 1), self.hi + 1] = self._role(weighted, role)
+            table[self.items + 1, self.ends[HI] + 1] = self._role(weighted, role)
             np.cumsum(table, axis=0, out=table)
             np.cumsum(table, axis=1, out=table)
             self._prefixes[key] = table
         return table
-
-    def _between(self, weighted, role, rows, start, stop):
-        """Per entry e: the role's filter summed over items i < rows[e]
-        with start[e] < hi_i < stop[e], two lookups in its prefix table."""
-        table = self._prefix(weighted, role)
-        flat = table.ravel()
-        base = rows * table.shape[1]
-        return flat[base + stop] - flat[base + start]
 
     def _pair_list(self, r: int):
         """Index arrays (J, L) of all pairs j < l in relation r, j-major."""
@@ -208,71 +189,75 @@ class DiagramTables:
             pairs = self._pairs[r] = np.nonzero(self.codes == r)
         return pairs
 
+    def _grow(self, tuples, steps):
+        """Yield blocks of index tuples, extended depth first by one role
+        per step: join each tuple's last index with the pair list of the
+        step's relation, on at most _BLOCK + n candidates at a time, and
+        keep the candidates whose relations to earlier roles match."""
+        if not steps:
+            yield tuples
+            return
+        (r, checks), rest = steps[0], steps[1:]
+        pairs, partners = self._pair_list(r)
+        runs = np.searchsorted(pairs, np.arange(self.n + 1))
+        first = runs[tuples[-1]]
+        sizes = runs[tuples[-1] + 1] - first
+        marks = np.arange(_BLOCK, sizes.sum(), _BLOCK)
+        cuts = np.searchsorted(np.cumsum(sizes), marks)
+        for a, b in zip((0, *cuts), (*cuts, len(sizes))):
+            size = sizes[a:b]
+            grown = np.repeat(np.arange(a, b), size)
+            # Pair-list position: the tuple's run start plus rank in the run.
+            starts = np.repeat(np.cumsum(size) - size, size)
+            new = partners[first[grown] + np.arange(len(grown)) - starts]
+            keep = np.logical_and.reduce(
+                [self.codes[tuples[i][grown], new] == ri for i, ri in checks]
+            )
+            grown, new = grown[keep], new[keep]
+            yield from self._grow((*(t[grown] for t in tuples), new), rest)
+
     def count(self, term: Term, weighted: bool) -> int:
         """Sum over index tuples i1<i2<...<ik realizing the based pattern.
 
         A tuple realizes the term when its pairwise relations equal the
         term's signature and each item passes its role's filter (sign
         constraint and, for arrow patterns, direction). It weighs the
-        product of its signs when weighted, else 1.
+        product of its signs when weighted, else 1. Relations among roles
+        2..k fix their endpoint order, so an item before role 2 fits role 1
+        exactly when its hi lies between term.ends.
         """
         k = len(term.roles)
         if k > self.n:
             return 0
-        u = [self._role(weighted, role) for role in term.roles]
         if k == 1:
-            return int(u[0].sum(dtype=np.int64))
-        if k == 2:
-            # Items i before j in relation r: hi_i in bounds[r] of j.
-            (r,) = term.signature
-            inside = self._between(
-                weighted, term.roles[0], np.arange(self.n), *self.bounds[r]
-            )
-            return int((u[1] * inside).sum(dtype=np.int64))
-        if k == 3:
-            # Per pair (j, l) in relation r23, hi_i must lie in both the
-            # r12 interval of j and the r13 interval of l. For the signature
-            # of a 3-chord matching the two never exclude each other
-            # outright (start <= stop for every such pair; the combinations
-            # where they would, e.g. SEQ to j but CROSS to l, are not
-            # matchings), so the intersection is one interval, empty when
-            # start == stop.
-            r12, r13, r23 = term.signature
-            j, l = self._pair_list(r23)
-            start = np.maximum(self.bounds[r12][0][j], self.bounds[r13][0][l])
-            stop = np.minimum(self.bounds[r12][1][j], self.bounds[r13][1][l])
-            inside = self._between(weighted, term.roles[0], j, start, stop)
-            return int((u[1][j] * u[2][l] * inside).sum(dtype=np.int64))
-        # Degree >= 4: classify every k-subset by its relation vector, which
-        # determines the configuration (see _check_signature_injectivity).
-        rel = self.codes.tolist()
-        weights = [x.tolist() for x in u]
-        pairs = list(zip(combinations(range(k), 2), term.signature))
-        return sum(
-            math.prod(w[i] for w, i in zip(weights, idx))
-            for idx in combinations(range(self.n), k)
-            if all(rel[idx[i]][idx[j]] == r for (i, j), r in pairs)
-        )
+            return int(self._role(weighted, term.roles[0]).sum(dtype=np.int64))
+        seed = (self.items,) if k == 2 else self._pair_list(term.steps[0][0])
+        blocks = self._grow(seed, term.steps[1:]) if k > 3 else (seed,)
+        (b0, s0), (b1, s1) = term.ends
+        table = self._prefix(weighted, term.roles[0])
+        flat, total = table.ravel(), 0
+        for tuples in blocks:
+            # Role 1's items before each tuple, between its two ends.
+            base = tuples[0] * table.shape[1]
+            w = flat[base + self.ends[s1][tuples[b1]]]
+            w = w - flat[base + self.ends[s0][tuples[b0]]]
+            for role, t in zip(term.roles[1:], tuples):
+                w = w * self._role(weighted, role)[t]
+            total += int(w.sum(dtype=np.int64))
+        return total
 
 
 def _rotations(p: Pattern) -> list[Pattern]:
     """Distinct based patterns in the cyclic rotation orbit of p."""
-    out = []
-    seen = set()
     m = 2 * p.k
+    out: dict[tuple, Pattern] = {}
     for shift in range(m):
-        rotated = Pattern(
-            k=p.k,
-            kind=p.kind,
-            chords=tuple(
-                ((a - 1 + shift) % m + 1, (b - 1 + shift) % m + 1, c)
-                for a, b, c in p.chords
-            ),
-        )
-        if rotated.chords not in seen:
-            seen.add(rotated.chords)
-            out.append(rotated)
-    return out
+        rotated = Pattern(k=p.k, kind=p.kind, chords=tuple(
+            ((a - 1 + shift) % m + 1, (b - 1 + shift) % m + 1, c)
+            for a, b, c in p.chords
+        ))
+        out.setdefault(rotated.chords, rotated)
+    return list(out.values())
 
 
 def _meet(constraints) -> tuple[int, ...] | None:
@@ -303,18 +288,18 @@ def _based_counts(
     """
     if p.kind is PatternKind.CHORD:
         return [((_term(p), mode is EvalMode.WEIGHTED), 1)]
-    by_shape: dict[tuple, list[tuple[int, ...]]] = {}
+    by_shape: dict[tuple, list[Term]] = {}
     for rot in _rotations(p):
         t = _term(rot)
         shape = (t.signature, tuple(forward for _, forward in t.roles))
-        by_shape.setdefault(shape, []).append(tuple(c for c, _ in t.roles))
+        by_shape.setdefault(shape, []).append(t)
     out = []
-    for (signature, directions), constraint_sets in by_shape.items():
-        for r in range(1, len(constraint_sets) + 1):
-            for chosen in combinations(constraint_sets, r):
-                meet = _meet(chosen)
+    for (_, dirs), terms in by_shape.items():
+        for r in range(1, len(terms) + 1):
+            for chosen in combinations(terms, r):
+                meet = _meet(tuple(c for c, _ in t.roles) for t in chosen)
                 if meet is not None:
-                    term = Term(signature, tuple(zip(meet, directions)))
+                    term = chosen[0]._replace(roles=tuple(zip(meet, dirs)))
                     out.append(((term, True), (-1) ** (r + 1)))
     return out
 

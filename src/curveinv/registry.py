@@ -234,18 +234,19 @@ def calibrate(
     config_index = 0
     candidates = triangle_candidates()
     for orientation in (Orientation.CCW, Orientation.CW):
+        # Arrow counts read only the orientation of a convention.
+        arrow_conv = Convention(orientation)
+        reproduces = [
+            [count_arrow_with_convention(c, t, arrow_conv) for t in braids]
+            == [1, 5, 14]
+            for c in candidates
+        ]
         for arrow_rule in (ArrowRule.FORWARD_PLUS, ArrowRule.FORWARD_MINUS):
             for mode in (EvalMode.CONSTRAINED, EvalMode.WEIGHTED):
                 conv = Convention(orientation, arrow_rule, mode)
-                for cand in candidates:
+                for cand, ok in zip(candidates, reproduces):
                     config_index += 1
-                    counts = [
-                        count_arrow_with_convention(cand, t, conv)
-                        for t in braids
-                    ]
-                    if counts != [1, 5, 14]:
-                        continue
-                    if _invariance_holds(
+                    if ok and _invariance_holds(
                         formulas, seeds, trials, rng_seed, conv, config_index
                     ):
                         survivors.append(

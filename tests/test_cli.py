@@ -183,6 +183,15 @@ def test_table_detection(capsys):
     assert lines[-1] == "pairwise distinct: yes"
 
 
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_table_rejects_kmax_below_one(capsys, kmax):
+    # With no rows, "pairwise distinct: yes" would be a claim about nothing.
+    code, out, err = run(capsys, "table", "--r", "2", "--b0", "1",
+                         "--c0", "1", "--kmax", kmax)
+    assert (code, out) == (2, "")
+    assert "--kmax must be >= 1" in err
+
+
 def test_replay_round_trip(tmp_path, capsys):
     log = tmp_path / "log.txt"
     log.write_text("iR2_insert 0 2 down\niR2_delete 1\n")

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from curveinv import (
 )
 from curveinv.counting import (
     KindMismatchError,
+    _signature,
     count_arrow_pattern,
     count_arrow_with_convention,
     count_embeddings,
@@ -320,8 +322,8 @@ def _kernel_diagrams(rng, arrows=False):
 
 
 def test_matching_enumeration_is_complete():
-    assert [len(_matchings(k)) for k in (1, 2, 3)] == [1, 3, 15]
-    assert len(set(_matchings(3))) == 15
+    assert [len(_matchings(k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 15, 105, 945]
+    assert len(set(_matchings(5))) == 945
 
 
 def test_kernel_matches_oracle_on_every_signed_chord_pattern():
@@ -370,6 +372,92 @@ def test_kernel_matches_oracle_on_every_directed_arrow_pattern():
         assert [count_arrow_pattern(p, d) for p in patterns] == expected, d
         f = Formula("all", tuple((i + 1, p) for i, p in enumerate(patterns)))
         assert evaluate(f, d) == sum((i + 1) * e for i, e in enumerate(expected))
+
+
+def _with_signs(rng, m, kind, constraints):
+    """Matching m as a pattern of the given kind: a random direction per
+    arrow, sign constraints from the given choices."""
+    return Pattern(k=len(m), kind=kind, chords=tuple(
+        (b, a, rng.choice(constraints))
+        if kind is PatternKind.ARROW and rng.random() < 0.5
+        else (a, b, rng.choice(constraints))
+        for a, b in m
+    ))
+
+
+@pytest.mark.parametrize("k,sample", [(4, None), (5, 100)])
+def test_kernel_matches_oracle_on_four_and_five_chord_matchings(k, sample):
+    rng = random.Random(409 + k)
+    matchings = _matchings(k)
+    if sample:
+        matchings = rng.sample(matchings, sample)
+    chord_diagrams = _kernel_diagrams(rng)
+    # Seven arrows would make the rotation-searching oracle the slowest
+    # part of the test suite.
+    arrow_diagrams = [d for d in _kernel_diagrams(rng, arrows=True) if d.n < 7]
+    realized = 0
+    for m in matchings:
+        p = _with_signs(rng, m, PatternKind.CHORD, (ANY, 1, -1))
+        # The pattern's own matching, with signs meeting its constraints,
+        # embeds it once.
+        own = SignedChordDiagram(k, tuple(
+            (a, b, c or rng.choice((1, -1))) for a, b, c in p.chords
+        ))
+        for d in chord_diagrams + [own]:
+            for mode in MODES:
+                want = count_embeddings_oracle(p, d, mode)
+                assert count_embeddings(p, d, mode) == want, (p, d, mode)
+                realized += want != 0
+        if k == 4:
+            p = _with_signs(rng, m, PatternKind.ARROW, (ANY, ANY, 1, -1))
+            own = ArrowDiagram(k, tuple(
+                (a, b, c or rng.choice((1, -1))) for a, b, c in p.chords
+            ))
+            for d in arrow_diagrams + [own]:
+                want = count_arrow_pattern_oracle(p, d)
+                assert count_arrow_pattern(p, d) == want, (p, d)
+                realized += want != 0
+    assert realized >= (3 if k == 4 else 2) * len(matchings)
+
+
+def test_relation_vector_determines_the_matching():
+    # The kernel identifies a configuration by its pairwise relations.
+    for k in range(1, 6):
+        matchings = _matchings(k)
+        assert len({_signature(m) for m in matchings}) == len(matchings)
+
+
+@pytest.mark.parametrize("k,n,expected", [(4, 201, 65998350), (5, 61, 5949147)])
+def test_all_crossing_pattern_counts_every_subset_of_a_torus_diagram(
+    k, n, expected, conv
+):
+    # Every two chords of torus(n) cross, so each k-subset realizes the
+    # all-crossing k-chord pattern once: C(n, k) embeddings.
+    assert math.comb(n, k) == expected
+    d = arrows_to_chords(gen_torus(n).diagram, conv)
+    p = parse_pattern(
+        "[" + ",".join(f"{i}-{i + k}" for i in range(1, k + 1)) + "]"
+    )
+    start = time.perf_counter()
+    got = count_embeddings(p, d, EvalMode.CONSTRAINED)
+    elapsed = time.perf_counter() - start
+    assert got == expected
+    assert elapsed < 10.0
+
+
+def test_degree_five_count_grows_tuples_in_blocks(conv):
+    # Roles 2..5 have C(100, 4) = 3,921,225 realizations on torus(101);
+    # held at once they take about 350 MB, one block at a time about 10 MB.
+    d = arrows_to_chords(gen_torus(101).diagram, conv)
+    p = parse_pattern("[1-6,2-7,3-8,4-9,5-10]")
+    tracemalloc.start()
+    try:
+        got = count_embeddings(p, d, EvalMode.CONSTRAINED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == math.comb(101, 5)
+    assert peak < 32 * 2**20
 
 
 def test_thousand_chord_evaluation(formulas, conv):

@@ -6,6 +6,7 @@ from curveinv import (
     Convention,
     EvalMode,
     Formula,
+    Orientation,
     builtin_chord_patterns,
     builtin_formula,
     builtin_formulas,
@@ -141,6 +142,43 @@ def test_calibrate_selects_weighted_mode():
         s.convention == frozen.convention and s.triangle == frozen.triangle
         for s in report.survivors
     )
+
+
+def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
+    monkeypatch,
+):
+    from curveinv import registry
+
+    calls = []
+    count = registry.count_arrow_with_convention
+
+    def counting(p, d, conv):
+        calls.append((p, conv.orientation))
+        return count(p, d, conv)
+
+    walked = []
+    holds = registry._invariance_holds
+
+    def recording(formulas, seeds, trials, rng_seed, conv, config_index):
+        walked.append(config_index)
+        return holds(formulas, seeds, trials, rng_seed, conv, config_index)
+
+    monkeypatch.setattr(registry, "count_arrow_with_convention", counting)
+    monkeypatch.setattr(registry, "_invariance_holds", recording)
+    report = calibrate([gen_cabc(1, 1, 1)], trials=2, rng_seed=0)
+    assert len(calls) == 2 * 8 * 3
+    assert len(set(calls)) == 2 * 8
+    # Configurations are numbered orientation-major, then arrow rule, eval
+    # mode and candidate; each walk is seeded by its number.
+    braids = [gen_torus(k).diagram for k in (3, 5, 7)]
+    expected = []
+    for i in range(64):
+        conv = Convention(orientation=(Orientation.CCW, Orientation.CW)[i // 32])
+        cand = triangle_candidates()[i % 8]
+        if [count(cand, t, conv) for t in braids] == [1, 5, 14]:
+            expected.append(i + 1)
+    assert walked == expected
+    assert report.configurations == 64
 
 
 def test_calibrate_is_deterministic():
