@@ -7,6 +7,7 @@ from .counting import (
     count_embeddings,
     evaluate,
     evaluate_all,
+    evaluate_many,
     evaluate_with_convention,
 )
 from .diagrams import (

@@ -10,7 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .counting import KindMismatchError, evaluate_all, evaluate_with_convention
+from .counting import (
+    KindMismatchError,
+    evaluate_many,
+    evaluate_with_convention,
+)
 from .diagrams import (
     ArrowDiagram,
     ArrowRule,
@@ -155,11 +159,11 @@ def _cmd_table(args) -> int:
     conv = _convention_from(args)
     formulas = builtin_formulas()
     print("k " + " ".join(FORMULA_NAMES))
-    rows = []
-    for k in range(1, args.kmax + 1):
-        cd = gen_cabc(args.r, args.b0 + k, args.c0 + k)
-        vals = evaluate_all(formulas, cd.diagram, conv)
-        rows.append(vals)
+    rows = evaluate_many(formulas, [
+        gen_cabc(args.r, args.b0 + k, args.c0 + k).diagram
+        for k in range(1, args.kmax + 1)
+    ], conv)
+    for k, vals in enumerate(rows, 1):
         print(f"{k} " + " ".join(str(v) for v in vals))
     distinct = len(set(rows)) == len(rows)
     print(f"pairwise distinct: {'yes' if distinct else 'no'}")

@@ -1,14 +1,16 @@
 """Optimized pattern counting and formula evaluation.
 
 Every public counter and evaluator runs one path: build DiagramTables for
-the diagram once, then count each based pattern against them. Formulas
-are compiled once per orientation and eval mode (memoized) into their
-distinct based patterns and an integer coefficient map, so a pattern that
-several terms share is counted once per diagram. Arrow patterns ignore
-the base point: their count sums the based counts of the pattern's
-rotations (by inclusion-exclusion where rotations of one configuration
-differ only in sign constraints), which the compiled plan lists as based
-patterns of their own.
+a batch of diagrams once, then count each based pattern against them.
+A single diagram is a batch of one; evaluate_many and the move-invariance
+loops pass many. Formulas are compiled once per orientation and eval mode
+(memoized, per formula tuple and per pattern) into their distinct based
+patterns and an integer coefficient map, so a pattern that several terms
+share is counted once per batch. Arrow patterns ignore the base point:
+their count sums the based counts of the pattern's rotations (by
+inclusion-exclusion where rotations of one configuration differ only in
+sign constraints), which the compiled plan lists as based patterns of
+their own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
 (chords, or arrows read as chords) are indexed in smaller-endpoint order;
@@ -22,6 +24,16 @@ at the tuple endpoints next to role 1's hi in the pattern. Tables take
 O(n^2) time and memory, joins time linear in the tuples they build. Joins
 run depth first on at most _BLOCK + n candidates at a time, so memory
 stays O(n^2 + k^2 _BLOCK). Sums are exact (int32 tables, int64 totals).
+
+A batch stacks its diagrams along a leading axis. Each is padded with
+sign-0 items, which fail every role filter, to m = (largest n) + 1 items,
+so one set of tables and one pass per based pattern serve every diagram
+and a pattern larger than a diagram simply finds no tuple there. Tuples
+never mix diagrams and come out diagram-major, so per-diagram totals are
+cut out of one int64 running sum. The tables of a batch take O(B m^2)
+memory; _evaluate splits its input in order into batches of at most
+_BATCH_ELEMENTS padded relation codes (a larger diagram goes alone).
+
 An independent brute-force oracle in oracle.py shares no code with this.
 """
 
@@ -124,32 +136,55 @@ def _term(p: Pattern) -> Term:
 
 
 class DiagramTables:
-    """Per-diagram tables for the counting kernel.
+    """Stacked tables of a batch of diagrams for the counting kernel.
 
-    Index i is the i-th chord or arrow in smaller-endpoint order, the order
-    both diagram types are stored in. ``codes`` holds the relation of i to
-    j for i < j as int8 (-1 on and below the diagonal); ``ends`` the item
-    lo, hi, 0 and 2n+1 arrays, indexed by LO, HI, BOTTOM and TOP. Role
-    filters, the int32 prefix-sum tables F of shape (n+1, 2n+2) and each
-    relation's (j, l) pair list are built on first use and kept. F is exact
-    in int32 because a filter is 0 or +-1 per item, so |F| <= n. Arrow
-    tables also keep each arrow's direction, which arrow patterns filter on.
+    The batch is a non-empty sequence of diagrams of one type and any
+    sizes; one diagram is a batch of one. Each diagram is padded to m =
+    (largest n) + 1 items: its padding item i is a sign-0 chord at slots
+    (2i+1, 2i+2), after its last slot, so every diagram ends in at least
+    one padding item. Item j of diagram b has global index b*m + j, items
+    in smaller-endpoint order within a diagram, the order both diagram
+    types are stored in. ``codes`` (shape (B*m, m), read as codes[global,
+    local]) holds the relation of j to a later real item l of the same
+    diagram as int8, and -1 elsewhere (on and below the diagonal, and
+    towards padding); ``ends`` the global lo, hi, 0 and TOP = 2m+1 arrays,
+    indexed by LO, HI, BOTTOM and TOP. Role filters, the int32 prefix-sum
+    tables F of shape (B*m, 2m+2) and each relation's pair list are built
+    on first use and kept. Row b*m + j of F sums diagram b's items before
+    j, so a diagram's last (padding) item is left out of its own table and
+    a global index is its table row. F is exact in int32 because a filter
+    is 0 or +-1 per item, so |F| <= m. Padding fails every role filter
+    (the unweighted filter is sign != 0), so it never counts. Arrow tables
+    also keep each arrow's direction, which arrow patterns filter on.
+    Memory is O(B*m^2).
     """
 
-    def __init__(self, d: SignedChordDiagram | ArrowDiagram):
-        self.n = n = d.n
-        is_chords = isinstance(d, SignedChordDiagram)
-        items = np.array(d.chords if is_chords else d.arrows, dtype=np.int64)
-        tail, head, signs = items.reshape(n, 3).T
-        self.signs = signs.astype(np.int32)
+    def __init__(self, diagrams):
+        is_chords = isinstance(diagrams[0], SignedChordDiagram)
+        self.batch = batch = len(diagrams)
+        self.m = m = max(d.n for d in diagrams) + 1
+        items = np.zeros((batch, m, 3), dtype=np.int32)
+        items[:, :, :2] = np.arange(1, 2 * m + 1).reshape(m, 2)
+        for b, d in enumerate(diagrams):
+            if d.n:
+                items[b, :d.n] = d.chords if is_chords else d.arrows
+        tail, head, self.signs = items.reshape(batch * m, 3).T
         self.forward = None if is_chords else tail < head
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-        self.codes = codes = np.full((n, n), CROSS, dtype=np.int8)
-        codes[hi[None, :] < hi[:, None]] = NEST
-        codes[hi[:, None] < lo[None, :]] = SEQ
-        codes[np.tri(n, dtype=bool)] = -1
-        self.items = np.arange(n)
-        self.ends = (lo, hi, np.zeros_like(lo), np.full_like(hi, 2 * n + 1))
+        hi_j, hi_l = hi.reshape(batch, m, 1), hi.reshape(batch, 1, m)
+        lo_j, lo_l = lo.reshape(batch, m, 1), lo.reshape(batch, 1, m)
+        sizes = np.array([d.n for d in diagrams]).reshape(batch, 1, 1)
+        codes = np.add(hi_l > hi_j, NEST, dtype=np.int8)  # or CROSS
+        codes *= hi_j > lo_l  # else SEQ
+        # -1 on and below the diagonal and towards padding.
+        codes += 1
+        codes *= (lo_j < lo_l) & (np.arange(m) < sizes)
+        codes -= 1
+        self.codes = codes.reshape(batch * m, m)
+        self.items = np.arange(batch * m)
+        # Each diagram's first global index, and the end of the batch.
+        self._firsts = np.arange(0, batch * m + 1, m)
+        self.ends = (lo, hi, np.zeros_like(lo), np.full_like(hi, 2 * m + 1))
         self._roles: dict[tuple, np.ndarray] = {}
         self._prefixes: dict[tuple, np.ndarray] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -161,7 +196,7 @@ class DiagramTables:
         u = self._roles.get(key)
         if u is None:
             constraint, forward = role
-            u = self.signs if weighted else np.ones(self.n, dtype=np.int32)
+            u = self.signs if weighted else (self.signs != 0).astype(np.int32)
             if constraint != ANY:
                 u = u * (self.signs == constraint)
             if forward is not None:
@@ -170,36 +205,46 @@ class DiagramTables:
         return u
 
     def _prefix(self, weighted: bool, role: tuple[int, bool | None]):
-        """F[j, y]: the role's filter summed over items i < j with hi_i < y."""
+        """F[b*m + j, y]: the role's filter summed over diagram b's items
+        i < j with hi_i < y."""
         key = (weighted, role)
         table = self._prefixes.get(key)
         if table is None:
-            n = self.n
-            table = np.zeros((n + 1, 2 * n + 2), dtype=np.int32)
-            table[self.items + 1, self.ends[HI] + 1] = self._role(weighted, role)
-            np.cumsum(table, axis=0, out=table)
+            width = 2 * self.m + 2
+            table = np.zeros((self.batch * self.m, width), dtype=np.int32)
+            # A diagram's last item lands in the next one's row 0; it is
+            # padding, so it adds 0 there.
+            cells = (self.items[1:] * width + self.ends[HI][:-1] + 1)
+            table.ravel()[cells] = self._role(weighted, role)[:-1]
+            stacked = table.reshape(self.batch, self.m, width)
+            np.cumsum(stacked, axis=1, out=stacked)
             np.cumsum(table, axis=1, out=table)
             self._prefixes[key] = table
         return table
 
     def _pair_list(self, r: int):
-        """Index arrays (J, L) of all pairs j < l in relation r, j-major."""
+        """Global index arrays (J, L) of all real pairs j < l of one diagram
+        in relation r, diagram-major then j-major."""
         pairs = self._pairs.get(r)
         if pairs is None:
-            pairs = self._pairs[r] = np.nonzero(self.codes == r)
+            at = np.flatnonzero(self.codes == r)
+            rows = at // self.m
+            # l's local index plus its diagram's first global index.
+            first = np.repeat(self._firsts[:-1], self.m)[rows]
+            pairs = self._pairs[r] = (rows, at - rows * self.m + first)
         return pairs
 
     def _grow(self, tuples, steps):
         """Yield blocks of index tuples, extended depth first by one role
         per step: join each tuple's last index with the pair list of the
-        step's relation, on at most _BLOCK + n candidates at a time, and
+        step's relation, on at most _BLOCK + m candidates at a time, and
         keep the candidates whose relations to earlier roles match."""
         if not steps:
             yield tuples
             return
         (r, checks), rest = steps[0], steps[1:]
         pairs, partners = self._pair_list(r)
-        runs = np.searchsorted(pairs, np.arange(self.n + 1))
+        runs = np.searchsorted(pairs, np.arange(len(self.items) + 1))
         first = runs[tuples[-1]]
         sizes = runs[tuples[-1] + 1] - first
         marks = np.arange(_BLOCK, sizes.sum(), _BLOCK)
@@ -210,32 +255,35 @@ class DiagramTables:
             # Pair-list position: the tuple's run start plus rank in the run.
             starts = np.repeat(np.cumsum(size) - size, size)
             new = partners[first[grown] + np.arange(len(grown)) - starts]
+            local = new % self.m
             keep = np.logical_and.reduce(
-                [self.codes[tuples[i][grown], new] == ri for i, ri in checks]
+                [self.codes[tuples[i][grown], local] == ri for i, ri in checks]
             )
             grown, new = grown[keep], new[keep]
             yield from self._grow((*(t[grown] for t in tuples), new), rest)
 
-    def count(self, term: Term, weighted: bool) -> int:
-        """Sum over index tuples i1<i2<...<ik realizing the based pattern.
+    def count(self, term: Term, weighted: bool) -> np.ndarray:
+        """Per-diagram sums over index tuples i1<i2<...<ik realizing the
+        based pattern, as an int64 array of one total per diagram.
 
         A tuple realizes the term when its pairwise relations equal the
         term's signature and each item passes its role's filter (sign
         constraint and, for arrow patterns, direction). It weighs the
         product of its signs when weighted, else 1. Relations among roles
         2..k fix their endpoint order, so an item before role 2 fits role 1
-        exactly when its hi lies between term.ends.
+        exactly when its hi lies between term.ends. Tuples come
+        diagram-major, so cuts on their first index split the sums.
         """
         k = len(term.roles)
-        if k > self.n:
-            return 0
         if k == 1:
-            return int(self._role(weighted, term.roles[0]).sum(dtype=np.int64))
+            u = self._role(weighted, term.roles[0])
+            return u.reshape(self.batch, self.m).sum(axis=1, dtype=np.int64)
         seed = (self.items,) if k == 2 else self._pair_list(term.steps[0][0])
         blocks = self._grow(seed, term.steps[1:]) if k > 3 else (seed,)
         (b0, s0), (b1, s1) = term.ends
         table = self._prefix(weighted, term.roles[0])
-        flat, total = table.ravel(), 0
+        flat = table.ravel()
+        totals = np.zeros(self.batch, dtype=np.int64)
         for tuples in blocks:
             # Role 1's items before each tuple, between its two ends.
             base = tuples[0] * table.shape[1]
@@ -243,8 +291,13 @@ class DiagramTables:
             w = w - flat[base + self.ends[s0][tuples[b0]]]
             for role, t in zip(term.roles[1:], tuples):
                 w = w * self._role(weighted, role)[t]
-            total += int(w.sum(dtype=np.int64))
-        return total
+            if self.batch == 1:
+                totals[0] += w.sum(dtype=np.int64)
+            else:
+                cuts = np.searchsorted(tuples[0], self._firsts)
+                sums = np.concatenate(([0], np.cumsum(w, dtype=np.int64)))
+                totals += sums[cuts[1:]] - sums[cuts[:-1]]
+        return totals
 
 
 def _rotations(p: Pattern) -> list[Pattern]:
@@ -304,6 +357,18 @@ def _based_counts(
     return out
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _compile(
+    p: Pattern, orientation: Orientation, mode: EvalMode | None
+) -> tuple[tuple[tuple[Term, bool], int], ...]:
+    """p's based counts (see _based_counts) read under an orientation:
+    clockwise reads the template mirrored. Cached per pattern apart from
+    _plan, so a plan compiled anew recompiles no pattern."""
+    if orientation is Orientation.CW:
+        p = mirror_pattern(p)
+    return tuple(_based_counts(p, mode))
+
+
 @functools.lru_cache(maxsize=128)
 def _plan(
     formulas: tuple[Formula, ...],
@@ -312,56 +377,87 @@ def _plan(
 ) -> tuple[tuple, tuple]:
     """Compile formulas into (distinct based counts, coefficient rows).
 
-    Clockwise orientation reads every template mirrored. Row f lists
-    (index, coefficient) pairs with formula f's value equal to the sum of
-    coefficient times the count at that index.
+    Row f lists (index, coefficient) pairs with formula f's value equal to
+    the sum of coefficient times the count at that index.
     """
     index: dict[tuple[Term, bool], int] = {}
     rows = []
     for f in formulas:
         row: dict[int, int] = {}
         for coeff, p in f.terms:
-            if orientation is Orientation.CW:
-                p = mirror_pattern(p)
-            for based, m in _based_counts(p, mode):
+            for based, m in _compile(p, orientation, mode):
                 i = index.setdefault(based, len(index))
                 row[i] = row.get(i, 0) + m * coeff
         rows.append(tuple(row.items()))
     return tuple(index), tuple(rows)
 
 
+# Most padded relation codes (diagrams times m^2) one batch of tables
+# holds; a diagram above it is a batch of its own. Bounds the memory of
+# evaluating many diagrams at once.
+_BATCH_ELEMENTS = 1 << 14
+
+
+def _batches(diagrams):
+    """Split diagrams, in order, into runs of at most _BATCH_ELEMENTS
+    padded relation codes (B * m^2, m the run's largest n plus one)."""
+    batch, m = [], 0
+    for d in diagrams:
+        grown = max(m, d.n + 1)
+        if batch and (len(batch) + 1) * grown * grown > _BATCH_ELEMENTS:
+            yield batch
+            batch, grown = [], d.n + 1
+        batch.append(d)
+        m = grown
+    if batch:
+        yield batch
+
+
 def _evaluate(
     kind: PatternKind,
     formulas: tuple[Formula, ...],
-    d: SignedChordDiagram | ArrowDiagram,
+    diagrams,
     conv: Convention | None,
     mode: EvalMode | None,
-) -> tuple[int, ...]:
-    """The one evaluator behind every public counter.
+):
+    """The one evaluator behind every public counter: yields one value
+    tuple per diagram, in order.
 
-    Checks that every formula is of the caller's kind and that the diagram
-    fits it, switching arrows to signed chords for chord formulas when a
-    convention is given; then counts each distinct based pattern of the
-    compiled formulas once on one set of tables and applies the
-    coefficient map. Without a convention, templates are read as given
-    (counterclockwise) and arrow diagrams are never switched.
+    Checks that every formula is of the caller's kind and that each
+    diagram fits it, switching arrows to signed chords for chord formulas
+    when a convention is given; then, per batch of diagrams, counts each
+    distinct based pattern of the compiled formulas once on one set of
+    stacked tables and applies the coefficient map. Diagrams are read
+    lazily, one batch (plus the diagram that opens the next) at a time, so
+    a caller that stops early stops the work producing them. Without a
+    convention, templates are read as given (counterclockwise) and arrow
+    diagrams are never switched.
     """
     if any(f.kind is not kind for f in formulas):
         raise KindMismatchError(f"expected {kind.value} patterns")
-    if kind is PatternKind.CHORD:
+
+    def fit(d):
+        if kind is PatternKind.ARROW:
+            if not isinstance(d, ArrowDiagram):
+                raise KindMismatchError("arrow formula needs an arrow diagram")
+            return d
         if conv is not None and isinstance(d, ArrowDiagram):
             d = arrows_to_chords(d, conv)
         if not isinstance(d, SignedChordDiagram):
-            raise KindMismatchError("chord formula needs a signed chord diagram")
+            raise KindMismatchError(
+                "chord formula needs a signed chord diagram"
+            )
         if mode is None:
             raise ValueError("chord formulas need an explicit EvalMode")
-    elif not isinstance(d, ArrowDiagram):
-        raise KindMismatchError("arrow formula needs an arrow diagram")
+        return d
+
     orientation = Orientation.CCW if conv is None else conv.orientation
     based, rows = _plan(formulas, orientation, mode)
-    tables = DiagramTables(d)
-    counts = [tables.count(term, weighted) for term, weighted in based]
-    return tuple(sum(c * counts[i] for i, c in row) for row in rows)
+    for batch in _batches(map(fit, diagrams)):
+        tables = DiagramTables(batch)
+        counts = [tables.count(t, weighted).tolist() for t, weighted in based]
+        for b in range(len(batch)):
+            yield tuple(sum(c * counts[i][b] for i, c in row) for row in rows)
 
 
 def _single(p: Pattern) -> tuple[Formula]:
@@ -380,7 +476,7 @@ def count_embeddings(
     the mode sets each embedding's weight (1, or the product of matched
     diagram signs).
     """
-    return _evaluate(PatternKind.CHORD, _single(p), d, None, mode)[0]
+    return next(_evaluate(PatternKind.CHORD, _single(p), [d], None, mode))[0]
 
 
 def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
@@ -391,7 +487,7 @@ def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
     Each match weighs the product of the matched arrow signs; sign
     constraints, when present, filter matches.
     """
-    return _evaluate(PatternKind.ARROW, _single(p), d, None, None)[0]
+    return next(_evaluate(PatternKind.ARROW, _single(p), [d], None, None))[0]
 
 
 def evaluate(
@@ -400,7 +496,7 @@ def evaluate(
     mode: EvalMode | None = None,
 ) -> int:
     """Evaluate a formula: the coefficient-weighted sum of its term counts."""
-    return _evaluate(f.kind, (f,), d, None, mode)[0]
+    return next(_evaluate(f.kind, (f,), [d], None, mode))[0]
 
 
 def evaluate_with_convention(
@@ -414,14 +510,14 @@ def evaluate_with_convention(
     formulas applied to arrow diagrams first switch arrows to signed chords
     per the convention's arrow rule.
     """
-    return _evaluate(f.kind, (f,), d, conv, conv.eval_mode)[0]
+    return next(_evaluate(f.kind, (f,), [d], conv, conv.eval_mode))[0]
 
 
 def count_arrow_with_convention(
     p: Pattern, d: ArrowDiagram, conv: Convention
 ) -> int:
     """count_arrow_pattern with the pattern read under conv's orientation."""
-    return _evaluate(PatternKind.ARROW, _single(p), d, conv, None)[0]
+    return next(_evaluate(PatternKind.ARROW, _single(p), [d], conv, None))[0]
 
 
 def evaluate_all(
@@ -433,8 +529,25 @@ def evaluate_all(
 
     Equivalent to evaluate_with_convention per formula but converts the
     diagram and builds the tables only once, and counts each based pattern
-    the formulas share once; the fuzz loop calls this once per move.
+    the formulas share once.
     """
-    return _evaluate(
-        PatternKind.CHORD, tuple(formulas), d, conv, conv.eval_mode
-    )
+    return next(_evaluate(
+        PatternKind.CHORD, tuple(formulas), [d], conv, conv.eval_mode
+    ))
+
+
+def evaluate_many(
+    formulas: tuple[Formula, ...] | list[Formula],
+    diagrams,
+    conv: Convention,
+) -> list[tuple[int, ...]]:
+    """evaluate_all over a sequence of diagrams: one value tuple per
+    diagram, in order.
+
+    Diagrams of any sizes are counted together on stacked tables, in
+    batches of bounded size, so many small diagrams share a few kernel
+    calls per based pattern instead of paying them one by one.
+    """
+    return list(_evaluate(
+        PatternKind.CHORD, tuple(formulas), diagrams, conv, conv.eval_mode
+    ))

@@ -22,10 +22,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain, tee
 
-from .counting import CROSS, NEST, SEQ, _signature, evaluate_all
+from .counting import CROSS, NEST, SEQ, _evaluate, _signature
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
-from .patterns import Formula
+from .patterns import Formula, PatternKind
 
 
 class MoveKind(Enum):
@@ -432,6 +433,20 @@ class FuzzReport:
         return "\n".join(blocks)
 
 
+def _trial_walks(d0, si, trials, depth, rng_seed, kinds, r3_variants):
+    """Yield (endpoint, move log) of each trial's walk from seed si, each
+    trial on its own RNG stream."""
+    for trial in range(trials):
+        rng = random.Random(f"{rng_seed}:{si}:{trial}")
+        d = d0
+        log: list[str] = []
+        for site, d in walk(d0, rng, depth, random_site, kinds, r3_variants):
+            log.append(site.format())
+        if len(log) < depth:
+            log.append(STOPPED_EARLY)
+        yield d, tuple(log)
+
+
 def fuzz_invariance(
     formulas,
     seeds,
@@ -457,18 +472,18 @@ def fuzz_invariance(
     violations: list[FuzzViolation] = []
     for si, seed in enumerate(seeds):
         d0 = seed.diagram if isinstance(seed, CurveDiagram) else seed
-        base = evaluate_all(formulas, d0, convention)
-        for trial in range(trials):
-            rng = random.Random(f"{rng_seed}:{si}:{trial}")
-            d = d0
-            log: list[str] = []
-            for site, d in walk(
-                d0, rng, depth, random_site, kinds, r3_variants
-            ):
-                log.append(site.format())
-            if len(log) < depth:
-                log.append(STOPPED_EARLY)
-            after = evaluate_all(formulas, d, convention)
+        walks, logs = tee(
+            _trial_walks(d0, si, trials, depth, rng_seed, kinds, r3_variants)
+        )
+        # Draws never depend on values, so endpoints are evaluated in
+        # batches as the walks go, and the walks stop with the report.
+        values = _evaluate(
+            PatternKind.CHORD, tuple(formulas),
+            chain([d0], (d for d, _ in walks)), convention,
+            convention.eval_mode,
+        )
+        base = next(values)
+        for trial, (after, (_, log)) in enumerate(zip(values, logs)):
             if after != base:
                 violations.append(
                     FuzzViolation(
@@ -478,7 +493,7 @@ def fuzz_invariance(
                         names=names,
                         before=base,
                         after=after,
-                        log=tuple(log),
+                        log=log,
                     )
                 )
                 if max_violations and len(violations) >= max_violations:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 
-from .counting import count_arrow_with_convention, evaluate_all
+from .counting import _evaluate
 from .diagrams import (
     ArrowRule,
     Convention,
@@ -234,13 +234,16 @@ def calibrate(
     config_index = 0
     candidates = triangle_candidates()
     for orientation in (Orientation.CCW, Orientation.CW):
-        # Arrow counts read only the orientation of a convention.
-        arrow_conv = Convention(orientation)
-        reproduces = [
-            [count_arrow_with_convention(c, t, arrow_conv) for t in braids]
-            == [1, 5, 14]
-            for c in candidates
-        ]
+        # Arrow counts read only the orientation of a convention; the
+        # candidates, as one-term formulas, are counted in one batch.
+        counts = _evaluate(
+            PatternKind.ARROW,
+            tuple(Formula("", ((1, c),)) for c in candidates),
+            braids,
+            Convention(orientation),
+            None,
+        )
+        reproduces = [row == (1, 5, 14) for row in zip(*counts)]
         for arrow_rule in (ArrowRule.FORWARD_PLUS, ArrowRule.FORWARD_MINUS):
             for mode in (EvalMode.CONSTRAINED, EvalMode.WEIGHTED):
                 conv = Convention(orientation, arrow_rule, mode)
@@ -272,11 +275,19 @@ def _invariance_holds(
 ) -> bool:
     for si, seed in enumerate(seeds):
         d = seed.diagram if isinstance(seed, CurveDiagram) else seed
-        vals = evaluate_all(formulas, d, conv)
         rng = random.Random(f"{rng_seed}|{config_index}|{si}")
         # Kind-balanced sampling keeps the walk from growing without bound
-        # over hundreds of moves.
-        for _, d in walk(d, rng, trials, random_site_balanced):
-            if evaluate_all(formulas, d, conv) != vals:
-                return False
+        # over hundreds of moves. Draws never depend on values, so the walk
+        # feeds the evaluator, which counts its diagrams in batches; the
+        # walk stops with the first batch that changes a value.
+        walked = (
+            after for _, after in walk(d, rng, trials, random_site_balanced)
+        )
+        values = _evaluate(
+            PatternKind.CHORD, tuple(formulas), chain([d], walked), conv,
+            conv.eval_mode,
+        )
+        start = next(values)
+        if any(vals != start for vals in values):
+            return False
     return True

@@ -28,14 +28,17 @@ from curveinv import (
     parse_pattern,
     triangle_candidates,
 )
+from curveinv import counting
 from curveinv.counting import (
     KindMismatchError,
+    _evaluate,
     _signature,
     count_arrow_pattern,
     count_arrow_with_convention,
     count_embeddings,
     evaluate,
     evaluate_all,
+    evaluate_many,
     evaluate_with_convention,
 )
 from curveinv.oracle import count_arrow_pattern_oracle, count_embeddings_oracle
@@ -479,3 +482,109 @@ def test_thousand_arrow_triangle_count(frozen):
     m = 500
     assert got == m * (m + 1) * (2 * m + 1) // 6
     assert elapsed < 10.0
+
+
+CONVENTIONS = [
+    Convention(o, r, m)
+    for o in Orientation for r in ArrowRule for m in EvalMode
+]
+
+
+@st.composite
+def _any_diagram(draw):
+    """A chord or arrow diagram of 0..7 items with random signs."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    slots = draw(st.permutations(range(1, 2 * n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    items = tuple(
+        (slots[2 * i], slots[2 * i + 1], signs[i]) for i in range(n)
+    )
+    if draw(st.booleans()):
+        return ArrowDiagram(n, items)
+    return SignedChordDiagram(n, items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_any_diagram(), max_size=12),
+    st.sampled_from(CONVENTIONS),
+)
+def test_evaluate_many_matches_evaluate_all_per_diagram(ds, conv):
+    # Mixed sizes in one batch: n = 0, diagrams smaller than a degree-3
+    # pattern, and diagrams padded to the largest one.
+    formulas = tuple(
+        builtin_formula(name) for name in ("I2_1", "I3_1", "I3_4", "I3_5")
+    )
+    assert evaluate_many(formulas, ds, conv) == [
+        evaluate_all(formulas, d, conv) for d in ds
+    ]
+
+
+def test_evaluate_many_of_no_diagrams(formulas, conv):
+    assert evaluate_many(formulas, [], conv) == []
+
+
+def test_batched_four_and_five_chord_counts_match_oracle():
+    # One batch holds diagrams of 0 to 7 items, so some are smaller than
+    # every pattern, plus a diagram embedding each pattern once.
+    rng = random.Random(430)
+    patterns = [
+        _with_signs(rng, m, PatternKind.CHORD, (ANY, 1, -1))
+        for k in (4, 5) for m in rng.sample(_matchings(k), 6)
+    ]
+    ds = _kernel_diagrams(rng)[:10] + [
+        SignedChordDiagram(p.k, tuple(
+            (a, b, c or rng.choice((1, -1))) for a, b, c in p.chords
+        ))
+        for p in patterns[::3]
+    ]
+    rng.shuffle(ds)
+    fs = [Formula(f"P{i}", ((1, p),)) for i, p in enumerate(patterns)]
+    for mode in MODES:
+        conv = Convention(Orientation.CCW, ArrowRule.FORWARD_PLUS, mode)
+        want = [
+            tuple(count_embeddings_oracle(p, d, mode) for p in patterns)
+            for d in ds
+        ]
+        assert sum(v != 0 for row in want for v in row) >= len(patterns[::3])
+        assert evaluate_many(fs, ds, conv) == want
+    arrow_patterns = [
+        _with_signs(rng, m, PatternKind.ARROW, (ANY, ANY, 1, -1))
+        for m in rng.sample(_matchings(4), 6)
+    ]
+    arrows = [d for d in _kernel_diagrams(rng, arrows=True) if d.n < 7]
+    arrow_formulas = tuple(
+        Formula(f"A{i}", ((1, p),)) for i, p in enumerate(arrow_patterns)
+    )
+    got = _evaluate(PatternKind.ARROW, arrow_formulas, arrows, None, None)
+    assert list(got) == [
+        tuple(count_arrow_pattern_oracle(p, d) for p in arrow_patterns)
+        for d in arrows
+    ]
+
+
+def test_evaluate_many_splits_input_by_element_budget(
+    monkeypatch, formulas, conv
+):
+    built = []
+    init = counting.DiagramTables.__init__
+
+    def recording(self, diagrams):
+        built.append([d.n for d in diagrams])
+        init(self, diagrams)
+
+    monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
+    # 30 diagrams of 12 to 50 chords, then one whose own padded codes
+    # exceed the budget.
+    ds = [gen_cabc(r, b, b).diagram for r in range(3) for b in range(3, 13)]
+    ds.append(gen_cabc(0, 66, 66).diagram)
+    assert (ds[-1].n + 1) ** 2 > counting._BATCH_ELEMENTS
+    values = evaluate_many(formulas, ds, conv)
+    assert len(built) > 2
+    assert [n for batch in built for n in batch] == [d.n for d in ds]
+    assert built[-1] == [ds[-1].n]
+    for batch in built[:-1]:
+        m = max(batch) + 1
+        assert len(batch) * m * m <= counting._BATCH_ELEMENTS
+    monkeypatch.undo()
+    assert values == [evaluate_all(formulas, d, conv) for d in ds]

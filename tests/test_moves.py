@@ -23,7 +23,7 @@ from curveinv import (
     serialize_diagram,
     validate,
 )
-from curveinv.moves import INVARIANCE_KINDS, Variant, walk
+from curveinv.moves import INVARIANCE_KINDS, STOPPED_EARLY, Variant, walk
 from curveinv.patterns import Formula
 from curveinv.registry import builtin_formulas, default_fuzz_seeds
 from helpers import (
@@ -351,6 +351,36 @@ def test_fuzz_violation_log_is_replayable(formulas, conv):
     assert evaluate_all(formulas, seed, conv) == v.before
     end = replay(seed, v.log)
     assert evaluate_all(formulas, end, conv) == v.after
+
+
+def test_fuzz_violations_match_per_diagram_evaluation(formulas, conv):
+    # Reference: the walk of each (seed, trial) in order, each endpoint
+    # evaluated on its own, up to the 57th value change: trial 26 of the
+    # second seed, whose first batch of endpoints ends at trial 24.
+    kinds = INVARIANCE_KINDS + (MoveKind.DR2_INSERT, MoveKind.DR2_DELETE)
+    seeds = default_fuzz_seeds()
+    trials, depth, cap = 30, 8, 57
+    report = fuzz_invariance(formulas, seeds, trials=trials, depth=depth,
+                             rng_seed=7, convention=conv, kinds=kinds,
+                             max_violations=cap)
+    expected = []
+    for si, seed in enumerate(seeds):
+        base = evaluate_all(formulas, seed.diagram, conv)
+        for trial in range(trials):
+            rng = random.Random(f"7:{si}:{trial}")
+            d, log = seed.diagram, []
+            for site, d in walk(seed.diagram, rng, depth, random_site, kinds):
+                log.append(site.format())
+            if len(log) < depth:
+                log.append(STOPPED_EARLY)
+            after = evaluate_all(formulas, d, conv)
+            if after != base and len(expected) < cap:
+                expected.append(FuzzViolation(
+                    si, serialize_diagram(seed.diagram), trial,
+                    tuple(f.name for f in formulas), base, after, tuple(log),
+                ))
+    assert (expected[-1].seed_index, expected[-1].trial) == (1, 26)
+    assert report.violations == expected
 
 
 def test_delete_site_checked_locally():

@@ -7,6 +7,7 @@ from curveinv import (
     EvalMode,
     Formula,
     Orientation,
+    PatternKind,
     builtin_chord_patterns,
     builtin_formula,
     builtin_formulas,
@@ -148,13 +149,15 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
     monkeypatch,
 ):
     from curveinv import registry
+    from curveinv.counting import count_arrow_with_convention
 
     calls = []
-    count = registry.count_arrow_with_convention
+    evaluate = registry._evaluate
 
-    def counting(p, d, conv):
-        calls.append((p, conv.orientation))
-        return count(p, d, conv)
+    def counting(kind, formulas, diagrams, conv, mode):
+        if kind is PatternKind.ARROW:
+            calls.append((formulas, diagrams, conv.orientation))
+        return evaluate(kind, formulas, diagrams, conv, mode)
 
     walked = []
     holds = registry._invariance_holds
@@ -163,22 +166,49 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
         walked.append(config_index)
         return holds(formulas, seeds, trials, rng_seed, conv, config_index)
 
-    monkeypatch.setattr(registry, "count_arrow_with_convention", counting)
+    monkeypatch.setattr(registry, "_evaluate", counting)
     monkeypatch.setattr(registry, "_invariance_holds", recording)
     report = calibrate([gen_cabc(1, 1, 1)], trials=2, rng_seed=0)
-    assert len(calls) == 2 * 8 * 3
-    assert len(set(calls)) == 2 * 8
+    # One batched arrow evaluation per orientation: the 8 candidates as
+    # one-term formulas over the three braids.
+    braids = [gen_torus(k).diagram for k in (3, 5, 7)]
+    assert [c[2] for c in calls] == [Orientation.CCW, Orientation.CW]
+    for formulas, diagrams, _ in calls:
+        assert [f.terms for f in formulas] == [
+            ((1, c),) for c in triangle_candidates()
+        ]
+        assert list(diagrams) == braids
     # Configurations are numbered orientation-major, then arrow rule, eval
     # mode and candidate; each walk is seeded by its number.
-    braids = [gen_torus(k).diagram for k in (3, 5, 7)]
     expected = []
     for i in range(64):
         conv = Convention(orientation=(Orientation.CCW, Orientation.CW)[i // 32])
         cand = triangle_candidates()[i % 8]
-        if [count(cand, t, conv) for t in braids] == [1, 5, 14]:
+        if [
+            count_arrow_with_convention(cand, t, conv) for t in braids
+        ] == [1, 5, 14]:
             expected.append(i + 1)
     assert walked == expected
     assert report.configurations == 64
+
+
+def test_invariance_walk_of_small_diagrams_builds_one_table_set(
+    monkeypatch, formulas, conv
+):
+    from curveinv import counting, registry
+
+    built = []
+    init = counting.DiagramTables.__init__
+
+    def recording(self, diagrams):
+        built.append(len(diagrams))
+        init(self, diagrams)
+
+    monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
+    seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
+    assert registry._invariance_holds(formulas, seeds, 20, 0, conv, 1)
+    # Each seed's start and 20 steps are counted on one set of tables.
+    assert built == [21] * len(seeds)
 
 
 def test_calibrate_is_deterministic():
