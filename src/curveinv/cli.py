@@ -19,7 +19,6 @@ from .diagrams import (
     ArrowDiagram,
     ArrowRule,
     Convention,
-    InvalidDiagramError,
     Orientation,
     iter_diagram_records,
     parse_diagram,
@@ -27,7 +26,7 @@ from .diagrams import (
 )
 from .generators import gen_cabc, gen_torus
 from .moves import INVARIANCE_KINDS, MoveKind, fuzz_invariance, replay
-from .patterns import EvalMode, ParseError, parse_formula
+from .patterns import EvalMode, parse_formula
 from .registry import (
     FORMULA_NAMES,
     builtin_formula,
@@ -255,14 +254,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidDiagramError, KindMismatchError) as exc:
+    except (ValueError, OSError, KindMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,13 +4,12 @@ Every public counter and evaluator runs one path: build DiagramTables for
 a batch of diagrams once, then count each based pattern against them.
 A single diagram is a batch of one; evaluate_many and the move-invariance
 loops pass many. Formulas are compiled once per orientation and eval mode
-(memoized, per formula tuple and per pattern) into their distinct based
-patterns and an integer coefficient map, so a pattern that several terms
-share is counted once per batch. Arrow patterns ignore the base point:
-their count sums the based counts of the pattern's rotations (by
-inclusion-exclusion where rotations of one configuration differ only in
-sign constraints), which the compiled plan lists as based patterns of
-their own.
+(memoized per formula tuple) into their distinct based patterns and an
+integer coefficient map, so a pattern that several terms share is counted
+once per batch. Arrow patterns ignore the base point: their count sums
+the based counts of the pattern's rotations (by inclusion-exclusion where
+rotations of one configuration differ only in sign constraints), which
+the compiled plan lists as based patterns of their own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
 (chords, or arrows read as chords) are indexed in smaller-endpoint order;
@@ -230,7 +229,7 @@ class DiagramTables:
             at = np.flatnonzero(self.codes == r)
             rows = at // self.m
             # l's local index plus its diagram's first global index.
-            first = np.repeat(self._firsts[:-1], self.m)[rows]
+            first = rows - rows % self.m
             pairs = self._pairs[r] = (rows, at - rows * self.m + first)
         return pairs
 
@@ -279,7 +278,7 @@ class DiagramTables:
             u = self._role(weighted, term.roles[0])
             return u.reshape(self.batch, self.m).sum(axis=1, dtype=np.int64)
         seed = (self.items,) if k == 2 else self._pair_list(term.steps[0][0])
-        blocks = self._grow(seed, term.steps[1:]) if k > 3 else (seed,)
+        blocks = self._grow(seed, term.steps[1:])
         (b0, s0), (b1, s1) = term.ends
         table = self._prefix(weighted, term.roles[0])
         flat = table.ravel()
@@ -358,18 +357,6 @@ def _based_counts(
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _compile(
-    p: Pattern, orientation: Orientation, mode: EvalMode | None
-) -> tuple[tuple[tuple[Term, bool], int], ...]:
-    """p's based counts (see _based_counts) read under an orientation:
-    clockwise reads the template mirrored. Cached per pattern apart from
-    _plan, so a plan compiled anew recompiles no pattern."""
-    if orientation is Orientation.CW:
-        p = mirror_pattern(p)
-    return tuple(_based_counts(p, mode))
-
-
-@functools.lru_cache(maxsize=128)
 def _plan(
     formulas: tuple[Formula, ...],
     orientation: Orientation,
@@ -378,14 +365,19 @@ def _plan(
     """Compile formulas into (distinct based counts, coefficient rows).
 
     Row f lists (index, coefficient) pairs with formula f's value equal to
-    the sum of coefficient times the count at that index.
+    the sum of coefficient times the count at that index. Clockwise
+    orientation reads the templates mirrored. The cache holds thousands of
+    plans, so callers that count many one-term formulas (one per pattern)
+    compile each pattern once.
     """
     index: dict[tuple[Term, bool], int] = {}
     rows = []
     for f in formulas:
         row: dict[int, int] = {}
         for coeff, p in f.terms:
-            for based, m in _compile(p, orientation, mode):
+            if orientation is Orientation.CW:
+                p = mirror_pattern(p)
+            for based, m in _based_counts(p, mode):
                 i = index.setdefault(based, len(index))
                 row[i] = row.get(i, 0) + m * coeff
         rows.append(tuple(row.items()))

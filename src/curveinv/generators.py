@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .diagrams import ArrowDiagram, CurveDiagram
-from .moves import INVARIANCE_KINDS, STOPPED_EARLY, random_site, walk
+from .moves import INVARIANCE_KINDS, STOPPED_EARLY, logged_walk, random_site
 
 
 def gen_cabc(a: int, b: int, c: int) -> CurveDiagram:
@@ -81,17 +81,14 @@ def gen_equivalent(
     over unchanged. If no enabled kind applies the walk stops early with a
     note in the log. replay(seed.diagram, log) reproduces the output.
     """
+    if num_moves < 0:
+        raise ValueError(f"num_moves must be >= 0, got {num_moves}")
     for k in kinds:
         if k not in INVARIANCE_KINDS:
             raise ValueError(f"kind {k.value} is not equivalence-preserving")
     rng = random.Random(str(rng_seed))
-    d = seed.diagram
-    log: list[str] = []
-    for site, d in walk(d, rng, num_moves, random_site, kinds):
-        log.append(site.format())
-    applied = len(log)
-    if applied < num_moves:
-        log.append(STOPPED_EARLY)
+    d, log = logged_walk(seed.diagram, rng, num_moves, random_site, kinds)
+    applied = len(log) - log.count(STOPPED_EARLY)
     return (
         CurveDiagram(
             diagram=d,

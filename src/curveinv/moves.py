@@ -26,7 +26,7 @@ from itertools import chain, tee
 
 from .counting import CROSS, NEST, SEQ, _evaluate, _signature
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
-from .patterns import Formula, PatternKind
+from .patterns import PatternKind
 
 
 class MoveKind(Enum):
@@ -378,6 +378,37 @@ def walk(
         yield site, d
 
 
+def logged_walk(
+    d: ArrowDiagram, rng: random.Random, steps: int, sample, kinds,
+    r3_variants: str = "realizable",
+) -> tuple[ArrowDiagram, list[str]]:
+    """Run walk() to its end: (endpoint, log of one line per move, then
+    STOPPED_EARLY if fewer than `steps` applied). replay(d, log) reproduces
+    the endpoint."""
+    log: list[str] = []
+    for site, d in walk(d, rng, steps, sample, kinds, r3_variants):
+        log.append(site.format())
+    if len(log) < steps:
+        log.append(STOPPED_EARLY)
+    return d, log
+
+
+def value_changes(formulas, d0, walked, conv: Convention):
+    """Yield (before, after, tag) per (diagram, tag) of `walked` whose chord
+    formula values differ from d0's. Walk draws never depend on values, so
+    diagrams are evaluated in batches as `walked` yields them, and a caller
+    that stops reading stops the walk one batch after that change."""
+    walked, tagged = tee(walked)
+    values = _evaluate(
+        PatternKind.CHORD, tuple(formulas),
+        chain([d0], (d for d, _ in walked)), conv, conv.eval_mode,
+    )
+    before = next(values)
+    for after, (_, tag) in zip(values, tagged):
+        if after != before:
+            yield before, after, tag
+
+
 def replay(
     d: ArrowDiagram, lines, r3_variants: str = "realizable"
 ) -> ArrowDiagram:
@@ -433,20 +464,6 @@ class FuzzReport:
         return "\n".join(blocks)
 
 
-def _trial_walks(d0, si, trials, depth, rng_seed, kinds, r3_variants):
-    """Yield (endpoint, move log) of each trial's walk from seed si, each
-    trial on its own RNG stream."""
-    for trial in range(trials):
-        rng = random.Random(f"{rng_seed}:{si}:{trial}")
-        d = d0
-        log: list[str] = []
-        for site, d in walk(d0, rng, depth, random_site, kinds, r3_variants):
-            log.append(site.format())
-        if len(log) < depth:
-            log.append(STOPPED_EARLY)
-        yield d, tuple(log)
-
-
 def fuzz_invariance(
     formulas,
     seeds,
@@ -472,30 +489,26 @@ def fuzz_invariance(
     violations: list[FuzzViolation] = []
     for si, seed in enumerate(seeds):
         d0 = seed.diagram if isinstance(seed, CurveDiagram) else seed
-        walks, logs = tee(
-            _trial_walks(d0, si, trials, depth, rng_seed, kinds, r3_variants)
+        rngs = (random.Random(f"{rng_seed}:{si}:{t}") for t in range(trials))
+        walks = (
+            logged_walk(d0, rng, depth, random_site, kinds, r3_variants)
+            for rng in rngs
         )
-        # Draws never depend on values, so endpoints are evaluated in
-        # batches as the walks go, and the walks stop with the report.
-        values = _evaluate(
-            PatternKind.CHORD, tuple(formulas),
-            chain([d0], (d for d, _ in walks)), convention,
-            convention.eval_mode,
-        )
-        base = next(values)
-        for trial, (after, (_, log)) in enumerate(zip(values, logs)):
-            if after != base:
-                violations.append(
-                    FuzzViolation(
-                        seed_index=si,
-                        seed_text=serialize_diagram(d0),
-                        trial=trial,
-                        names=names,
-                        before=base,
-                        after=after,
-                        log=log,
-                    )
+        tagged = ((d, (t, tuple(log))) for t, (d, log) in enumerate(walks))
+        for before, after, (trial, log) in value_changes(
+            formulas, d0, tagged, convention
+        ):
+            violations.append(
+                FuzzViolation(
+                    seed_index=si,
+                    seed_text=serialize_diagram(d0),
+                    trial=trial,
+                    names=names,
+                    before=before,
+                    after=after,
+                    log=log,
                 )
-                if max_violations and len(violations) >= max_violations:
-                    return FuzzReport(len(seeds), trials, depth, violations)
+            )
+            if max_violations and len(violations) >= max_violations:
+                return FuzzReport(len(seeds), trials, depth, violations)
     return FuzzReport(len(seeds), trials, depth, violations)

@@ -119,7 +119,7 @@ def pattern_violations(p: Pattern) -> list[str]:
     return problems
 
 
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile("[0-9]+")
 _SPACES_RE = re.compile(" *")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 

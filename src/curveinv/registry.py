@@ -9,10 +9,11 @@ triangle candidate reproduces the closed 2-braid counts 1, 5, 14.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, product
+from itertools import product
 
 from .counting import _evaluate
 from .diagrams import (
@@ -23,7 +24,7 @@ from .diagrams import (
     iter_diagram_records,
 )
 from .generators import gen_cabc, gen_torus
-from .moves import random_site_balanced, walk
+from .moves import random_site_balanced, value_changes, walk
 from .patterns import (
     ANY,
     EvalMode,
@@ -52,13 +53,9 @@ ALIASES = {
     "I_{2,3,5}": "I3_5",
 }
 
-_cache: dict[str, Formula] = {}
 
-
-def _formulas_text() -> str:
-    return (
-        resources.files("curveinv").joinpath("data/formulas.txt").read_text()
-    )
+def _data(name: str) -> str:
+    return resources.files("curveinv").joinpath(f"data/{name}").read_text()
 
 
 def parse_formula_file(text: str) -> list[Formula]:
@@ -73,12 +70,11 @@ def parse_formula_file(text: str) -> list[Formula]:
     return formulas
 
 
+@functools.cache
 def _load() -> dict[str, Formula]:
-    if not _cache:
-        for f in parse_formula_file(_formulas_text()):
-            _cache[f.name] = f
-        assert tuple(_cache) == FORMULA_NAMES
-    return _cache
+    table = {f.name: f for f in parse_formula_file(_data("formulas.txt"))}
+    assert tuple(table) == FORMULA_NAMES
+    return table
 
 
 def builtin_formulas() -> tuple[Formula, ...]:
@@ -96,11 +92,8 @@ def builtin_formula(name: str) -> Formula:
 
 def builtin_chord_patterns() -> tuple[Pattern, ...]:
     """Every distinct pattern appearing in the builtin formulas."""
-    seen: dict[Pattern, None] = {}
-    for f in builtin_formulas():
-        for _, p in f.terms:
-            seen.setdefault(p)
-    return tuple(seen)
+    terms = (p for f in builtin_formulas() for _, p in f.terms)
+    return tuple(dict.fromkeys(terms))
 
 
 def triangle_candidates() -> tuple[Pattern, ...]:
@@ -131,7 +124,6 @@ def default_fuzz_seeds() -> list[CurveDiagram]:
 class Calibration:
     convention: Convention
     triangle: Pattern
-    evidence: str = ""
 
     @property
     def eval_mode(self) -> EvalMode:
@@ -166,22 +158,13 @@ def parse_calibration(text: str) -> Calibration:
         triangle = parse_pattern(fields["triangle"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad calibration text: {exc}") from exc
-    return Calibration(convention=conv, triangle=triangle, evidence="loaded")
+    return Calibration(convention=conv, triangle=triangle)
 
 
-_frozen: list[Calibration] = []
-
-
+@functools.cache
 def frozen_calibration() -> Calibration:
     """The packaged calibration every default evaluation runs under."""
-    if not _frozen:
-        text = (
-            resources.files("curveinv")
-            .joinpath("data/calibration.cfg")
-            .read_text()
-        )
-        _frozen.append(parse_calibration(text))
-    return _frozen[0]
+    return parse_calibration(_data("calibration.cfg"))
 
 
 @dataclass
@@ -253,14 +236,7 @@ def calibrate(
                         formulas, seeds, trials, rng_seed, conv, config_index
                     ):
                         survivors.append(
-                            Calibration(
-                                convention=conv,
-                                triangle=cand,
-                                evidence=(
-                                    f"braid counts 1,5,14; {trials} moves on"
-                                    f" {len(seeds)} seeds, rng_seed={rng_seed}"
-                                ),
-                            )
+                            Calibration(convention=conv, triangle=cand)
                         )
     return CalibrationReport(
         survivors=survivors,
@@ -277,17 +253,11 @@ def _invariance_holds(
         d = seed.diagram if isinstance(seed, CurveDiagram) else seed
         rng = random.Random(f"{rng_seed}|{config_index}|{si}")
         # Kind-balanced sampling keeps the walk from growing without bound
-        # over hundreds of moves. Draws never depend on values, so the walk
-        # feeds the evaluator, which counts its diagrams in batches; the
-        # walk stops with the first batch that changes a value.
+        # over hundreds of moves; it stops one batch after a value changes.
         walked = (
-            after for _, after in walk(d, rng, trials, random_site_balanced)
+            (after, None)
+            for _, after in walk(d, rng, trials, random_site_balanced)
         )
-        values = _evaluate(
-            PatternKind.CHORD, tuple(formulas), chain([d], walked), conv,
-            conv.eval_mode,
-        )
-        start = next(values)
-        if any(vals != start for vals in values):
+        if any(value_changes(formulas, d, walked, conv)):
             return False
     return True

@@ -588,3 +588,28 @@ def test_evaluate_many_splits_input_by_element_budget(
         assert len(batch) * m * m <= counting._BATCH_ELEMENTS
     monkeypatch.undo()
     assert values == [evaluate_all(formulas, d, conv) for d in ds]
+
+
+def test_counting_a_pattern_again_compiles_nothing(monkeypatch):
+    patterns = [
+        Pattern(k=3, kind=PatternKind.CHORD, chords=tuple(
+            (a, b, c) for (a, b), c in zip(m, signs)
+        ))
+        for m in _matchings(3)
+        for signs in itertools.product((ANY, 1, -1), repeat=3)
+    ]
+    assert len(patterns) == 405
+    d = parse_diagram("chords; n=5; 1-4:+ 2-7:- 3-5:+ 6-9:- 8-10:+")
+    compiled = []
+    based_counts = counting._based_counts
+
+    def recording(p, mode):
+        compiled.append(p)
+        return based_counts(p, mode)
+
+    monkeypatch.setattr(counting, "_based_counts", recording)
+    first = [count_embeddings(p, d, EvalMode.WEIGHTED) for p in patterns]
+    compiled.clear()
+    again = [count_embeddings(p, d, EvalMode.WEIGHTED) for p in patterns]
+    assert again == first
+    assert compiled == []

@@ -130,3 +130,8 @@ def test_equivalent_preserves_formula_values(formulas, conv):
         out, _ = gen_equivalent(seed, rng_seed=f"inv:{trial}", num_moves=10)
         assert validate(out.diagram) == []
         assert evaluate_all(formulas, out.diagram, conv) == before
+
+
+def test_gen_equivalent_rejects_negative_move_count():
+    with pytest.raises(ValueError, match="num_moves"):
+        gen_equivalent(gen_cabc(1, 1, 1), rng_seed=0, num_moves=-3)

@@ -8,6 +8,7 @@ from curveinv import (
     PatternKind,
     mirror_formula,
     mirror_pattern,
+    parse_diagram,
     parse_formula,
     parse_pattern,
     serialize_formula,
@@ -183,3 +184,20 @@ def test_accepted_inputs_always_form_matchings(text):
     except ParseError:
         return
     assert pattern_violations(p) == []
+
+
+@pytest.mark.parametrize(
+    "parse,text,col",
+    [
+        (parse_diagram, "chords; n=\u0661; \u0661-\u0662:+", 11),
+        (parse_diagram, "chords; n=1; 1-\u0662:+", 16),
+        (parse_pattern, "[1-\u0662]", 4),
+        (parse_formula, "F := +\u0662[1-2]", 7),
+        (parse_formula, "F := [1-2] -[\u0661-2]", 14),
+    ],
+)
+def test_only_ascii_digits_are_integers(parse, text, col):
+    # Arabic-Indic digits are Unicode decimals; the grammar's are 0-9.
+    with pytest.raises(ParseError) as info:
+        parse(text, line=3)
+    assert (info.value.line, info.value.col) == (3, col)

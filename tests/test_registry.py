@@ -252,3 +252,36 @@ def test_parse_formula_file_skips_comments_and_keeps_line_numbers():
     assert err.value.line == 3
     with pytest.raises(ValueError, match="holds no formulas"):
         parse_formula_file("# only a comment\n")
+
+
+@pytest.mark.parametrize("seed", [gen_cabc(2, 6, 6), gen_cabc(0, 6, 6)])
+def test_invariance_walk_stops_one_batch_after_the_first_change(
+    monkeypatch, formulas, conv, seed
+):
+    from curveinv import counting, registry
+    from curveinv.counting import evaluate_all
+
+    corrupted = [
+        Formula(f.name, ((-f.terms[0][0], f.terms[0][1]),) + f.terms[1:])
+        if f.name == "I2_1" else f
+        for f in formulas
+    ]
+    walked = []
+    walk = registry.walk
+
+    def recording(*args, **kwargs):
+        for site, d in walk(*args, **kwargs):
+            walked.append(d)
+            yield site, d
+
+    monkeypatch.setattr(registry, "walk", recording)
+    assert not registry._invariance_holds(corrupted, [seed], 400, 0, conv, 1)
+    start = evaluate_all(corrupted, seed.diagram, conv)
+    first = next(
+        i for i, d in enumerate(walked, 1)
+        if evaluate_all(corrupted, d, conv) != start
+    )
+    # A batch holds at most this many of the walked diagrams; the walk may
+    # also yield the diagram that opens the next batch.
+    batch = counting._BATCH_ELEMENTS // (min(d.n for d in walked) + 1) ** 2
+    assert len(walked) <= first + batch < 400
