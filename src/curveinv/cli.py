@@ -136,7 +136,6 @@ def _cmd_fuzz(args) -> int:
         rng_seed=args.rng_seed,
         convention=conv,
         kinds=_parse_kinds(args.kinds),
-        r3_variants=args.r3_variants,
     )
     print(report.format())
     return 0 if report.ok else 1
@@ -178,7 +177,7 @@ def _cmd_replay(args) -> int:
     if not isinstance(d, ArrowDiagram):
         raise ValueError("replay operates on arrow diagrams")
     log = Path(args.log).read_text().splitlines()
-    out = replay(d, log, r3_variants=args.r3_variants)
+    out = replay(d, log)
     print(serialize_diagram(out))
     return 0
 
@@ -216,10 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kinds",
         default=",".join(k.value for k in INVARIANCE_KINDS),
-        help="comma-separated move kinds",
-    )
-    p.add_argument(
-        "--r3-variants", choices=["realizable", "all"], default="realizable"
+        help="comma-separated subset of " + ",".join(k.value for k in MoveKind),
     )
     _add_convention_flags(p)
     p.set_defaults(func=_cmd_fuzz)
@@ -243,9 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", help="inline diagram text")
     p.add_argument("file", nargs="?", default=None, help="diagram file")
     p.add_argument("--log", required=True, help="move log file")
-    p.add_argument(
-        "--r3-variants", choices=["realizable", "all"], default="realizable"
-    )
     p.set_defaults(func=_cmd_replay)
     return parser
 

@@ -3,9 +3,10 @@
 Inverse-tangency inserts add a nested arrow pair with opposite directions;
 the direct-tangency variant (the negative control) adds a crossed pair.
 Triple-point moves swap the contents of three adjacent slot pairs joined
-pairwise by three arrows. All slot relabeling is order-preserving, so an
-insert followed by its delete restores the original diagram exactly, and a
-triple-point move is its own inverse.
+pairwise by three arrows; nR3, the other negative control, takes the
+triples whose decoration no plane curve produces. All slot relabeling is
+order-preserving, so an insert followed by its delete restores the
+original diagram exactly, and a triple-point move is its own inverse.
 
 The base point sits between the top slot and slot 1 and is never crossed:
 arcs are indexed 0..2n, where arc g lies between slot g and slot g+1 (arc 0
@@ -26,7 +27,7 @@ from itertools import chain, tee
 
 from .counting import CROSS, NEST, SEQ, _evaluate, _signature
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
-from .patterns import PatternKind
+from .patterns import _INT_RE, PatternKind
 
 
 class MoveKind(Enum):
@@ -35,6 +36,7 @@ class MoveKind(Enum):
     R3 = "R3"
     DR2_INSERT = "dR2_insert"
     DR2_DELETE = "dR2_delete"
+    NR3 = "nR3"
 
 
 class Variant(Enum):
@@ -79,14 +81,15 @@ class MoveSite:
 
 
 # The one schema of MoveSite.data: field types per kind. Move lines are
-# parsed field by field with these types, and apply_move refuses data that
-# does not match them exactly (so True is not slot 1).
+# parsed with these types, ints from ASCII digits only; apply_move refuses
+# data that does not match them exactly (so True is not slot 1).
 _FIELDS: dict[MoveKind, tuple[type, ...]] = {
     MoveKind.IR2_INSERT: (int, int, Variant),
     MoveKind.IR2_DELETE: (int,),
     MoveKind.R3: (int, int, int),
     MoveKind.DR2_INSERT: (int, int, Variant),
     MoveKind.DR2_DELETE: (int,),
+    MoveKind.NR3: (int, int, int),
 }
 
 
@@ -94,10 +97,12 @@ def parse_move_line(text: str) -> MoveSite:
     parts = text.split()
     try:
         kind = MoveKind(parts[0])
-        fields = _FIELDS[kind]
-        if len(parts) != len(fields) + 1:
+        fields, args = _FIELDS[kind], parts[1:]
+        if len(args) != len(fields) or not all(
+            f is not int or _INT_RE.fullmatch(x) for f, x in zip(fields, args)
+        ):
             raise ValueError
-        data = tuple(f(x) for f, x in zip(fields, parts[1:]))
+        data = tuple(f(x) for f, x in zip(fields, args))
     except (IndexError, ValueError):
         raise ValueError(f"bad move line: {text!r}") from None
     return MoveSite(kind, data)
@@ -121,10 +126,10 @@ _REALIZABLE: dict[tuple[int, ...], frozenset[tuple[bool, bool, bool]]] = {
 }
 
 
-def _is_r3_site(d: ArrowDiagram, p, q, r, r3_variants: str) -> bool:
+def _is_r3_site(d: ArrowDiagram, kind: MoveKind, p, q, r) -> bool:
     """Whether slot pairs (p, p+1), (q, q+1), (r, r+1) lie in order inside
-    1..2n, are joined pairwise by three arrows, and carry a decoration that
-    r3_variants admits: "all", or "realizable" (listed in _REALIZABLE)."""
+    1..2n, are joined pairwise by three arrows, and carry a decoration of
+    the given kind: listed in _REALIZABLE for R3, not listed for nR3."""
     if not (1 <= p and p + 2 <= q and q + 2 <= r and r < 2 * d.n):
         return False
     partner, forward, _ = d.slots
@@ -138,18 +143,17 @@ def _is_r3_site(d: ArrowDiagram, p, q, r, r3_variants: str) -> bool:
             decor.append(forward[x1])
         else:
             return False
-    if r3_variants == "all":
-        return True
     # The three arrows as chords in lo order: every lower end is in pair p
     # or pair q.
     chords = tuple(
         (x, partner[x]) for x in (p, p + 1, q, q + 1) if partner[x] > x
     )
-    return tuple(decor) in _REALIZABLE.get(_signature(chords), ())
+    realizable = tuple(decor) in _REALIZABLE.get(_signature(chords), ())
+    return realizable == (kind is MoveKind.R3)
 
 
-def _r3_sites(d: ArrowDiagram, r3_variants: str) -> list[MoveSite]:
-    """Every admissible triple-point site once, in (p, q, r) order.
+def _r3_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
+    """Every triple-point site of the kind once, in (p, q, r) order.
 
     A site is found from its first slot pair (p, p+1): both arrows there
     lead right, the nearer one into the pair at q and the farther one into
@@ -170,8 +174,8 @@ def _r3_sites(d: ArrowDiagram, r3_variants: str) -> list[MoveSite]:
                 # 2q+1-x is the slot of pair q that x is not; same for r.
                 if partner[2 * q + 1 - x] != 2 * r + 1 - y:
                     continue
-                if _is_r3_site(d, p, q, r, r3_variants):
-                    sites.append(MoveSite(MoveKind.R3, (p, q, r)))
+                if _is_r3_site(d, kind, p, q, r):
+                    sites.append(MoveSite(kind, (p, q, r)))
     return sites
 
 
@@ -210,14 +214,9 @@ def _unrank_insert(kind: MoveKind, d: ArrowDiagram, index: int) -> MoveSite:
     return MoveSite(kind, (g1, g1 + pair_rank, _VARIANTS[vi]))
 
 
-def find_sites(
-    d: ArrowDiagram, kind: MoveKind, r3_variants: str = "realizable"
-) -> list[MoveSite]:
+def find_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
     """All sites of one kind, duplicate-free, in canonical order: inserts by
     arc1, then arc2, then up before down; deletes and triple points by slot.
-
-    r3_variants is "realizable" (only decorations plane curves produce) or
-    "all" (any pairwise-joined triple).
     """
     if kind in _INSERT_KINDS:
         arcs = range(2 * d.n + 1)
@@ -234,7 +233,7 @@ def find_sites(
             for p, q in enumerate(d.slots.partner)
             if q > p + 1 and _delete_slots(d, kind, p)
         ]
-    return _r3_sites(d, r3_variants)
+    return _r3_sites(d, kind)
 
 
 def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -273,11 +272,9 @@ def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     return ArrowDiagram(n=d.n - 2, arrows=kept)
 
 
-def _apply_r3(
-    d: ArrowDiagram, site: MoveSite, r3_variants: str
-) -> ArrowDiagram:
+def _apply_r3(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     p, q, r = site.data
-    if not _is_r3_site(d, p, q, r, r3_variants):
+    if not _is_r3_site(d, site.kind, p, q, r):
         raise StaleSiteError(f"stale triple-point site: {site.format()}")
     swap = {p: p + 1, p + 1: p, q: q + 1, q + 1: q, r: r + 1, r + 1: r}
     arrows = tuple(
@@ -286,9 +283,7 @@ def _apply_r3(
     return ArrowDiagram(n=d.n, arrows=arrows)
 
 
-def apply_move(
-    d: ArrowDiagram, site: MoveSite, r3_variants: str = "realizable"
-) -> ArrowDiagram:
+def apply_move(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     """Apply one move; raises StaleSiteError if the site does not fit d,
     malformed site data included."""
     fields = _FIELDS[site.kind]
@@ -300,10 +295,10 @@ def apply_move(
         return _apply_insert(d, site)
     if site.kind in _DELETE_KINDS:
         return _apply_delete(d, site)
-    return _apply_r3(d, site, r3_variants)
+    return _apply_r3(d, site)
 
 
-def _enabled_sites(d, kinds, r3_variants):
+def _enabled_sites(d, kinds):
     """(site count, site by index) per enabled kind in canonical order.
 
     Insert sites are counted analytically and decoded by rank, so a step
@@ -316,19 +311,16 @@ def _enabled_sites(d, kinds, r3_variants):
         if k in _INSERT_KINDS:
             out.append((insert_site_count(d), partial(_unrank_insert, k, d)))
         else:
-            sites = find_sites(d, k, r3_variants)
+            sites = find_sites(d, k)
             out.append((len(sites), sites.__getitem__))
     return out
 
 
 def random_site(
-    d: ArrowDiagram,
-    rng: random.Random,
-    kinds=INVARIANCE_KINDS,
-    r3_variants: str = "realizable",
+    d: ArrowDiagram, rng: random.Random, kinds=INVARIANCE_KINDS
 ) -> MoveSite | None:
     """Uniform site over all enabled kinds; None when nothing applies."""
-    enabled = _enabled_sites(d, kinds, r3_variants)
+    enabled = _enabled_sites(d, kinds)
     total = sum(c for c, _ in enabled)
     if total == 0:
         return None
@@ -341,10 +333,7 @@ def random_site(
 
 
 def random_site_balanced(
-    d: ArrowDiagram,
-    rng: random.Random,
-    kinds=INVARIANCE_KINDS,
-    r3_variants: str = "realizable",
+    d: ArrowDiagram, rng: random.Random, kinds=INVARIANCE_KINDS
 ) -> MoveSite | None:
     """Uniform kind among kinds with sites, then uniform site within it.
 
@@ -352,7 +341,7 @@ def random_site_balanced(
     long walks grow without bound; this sampler keeps inserts and deletes
     balanced and diagram size near the start size.
     """
-    available = [e for e in _enabled_sites(d, kinds, r3_variants) if e[0]]
+    available = [e for e in _enabled_sites(d, kinds) if e[0]]
     if not available:
         return None
     c, site_at = available[rng.randrange(len(available))]
@@ -365,28 +354,26 @@ def walk(
     steps: int,
     sample,
     kinds=INVARIANCE_KINDS,
-    r3_variants: str = "realizable",
 ):
     """Apply up to `steps` moves drawn by `sample` (random_site or
     random_site_balanced), yielding (site, diagram after the move) for
     each. The walk ends early when no enabled kind has a site."""
     for _ in range(steps):
-        site = sample(d, rng, kinds, r3_variants)
+        site = sample(d, rng, kinds)
         if site is None:
             return
-        d = apply_move(d, site, r3_variants=r3_variants)
+        d = apply_move(d, site)
         yield site, d
 
 
 def logged_walk(
-    d: ArrowDiagram, rng: random.Random, steps: int, sample, kinds,
-    r3_variants: str = "realizable",
+    d: ArrowDiagram, rng: random.Random, steps: int, sample, kinds
 ) -> tuple[ArrowDiagram, list[str]]:
     """Run walk() to its end: (endpoint, log of one line per move, then
     STOPPED_EARLY if fewer than `steps` applied). replay(d, log) reproduces
     the endpoint."""
     log: list[str] = []
-    for site, d in walk(d, rng, steps, sample, kinds, r3_variants):
+    for site, d in walk(d, rng, steps, sample, kinds):
         log.append(site.format())
     if len(log) < steps:
         log.append(STOPPED_EARLY)
@@ -409,15 +396,13 @@ def value_changes(formulas, d0, walked, conv: Convention):
             yield before, after, tag
 
 
-def replay(
-    d: ArrowDiagram, lines, r3_variants: str = "realizable"
-) -> ArrowDiagram:
+def replay(d: ArrowDiagram, lines) -> ArrowDiagram:
     """Re-run a move log (an iterable of lines; blanks and # notes skipped)."""
     for raw in lines:
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        d = apply_move(d, parse_move_line(text), r3_variants=r3_variants)
+        d = apply_move(d, parse_move_line(text))
     return d
 
 
@@ -472,7 +457,6 @@ def fuzz_invariance(
     rng_seed,
     convention: Convention,
     kinds=INVARIANCE_KINDS,
-    r3_variants: str = "realizable",
     max_violations: int | None = None,
 ) -> FuzzReport:
     """Random move walks; report every endpoint value change.
@@ -491,7 +475,7 @@ def fuzz_invariance(
         d0 = seed.diagram if isinstance(seed, CurveDiagram) else seed
         rngs = (random.Random(f"{rng_seed}:{si}:{t}") for t in range(trials))
         walks = (
-            logged_walk(d0, rng, depth, random_site, kinds, r3_variants)
+            logged_walk(d0, rng, depth, random_site, kinds)
             for rng in rngs
         )
         tagged = ((d, (t, tuple(log))) for t, (d, log) in enumerate(walks))

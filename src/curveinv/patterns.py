@@ -121,7 +121,7 @@ def pattern_violations(p: Pattern) -> list[str]:
 
 _INT_RE = re.compile("[0-9]+")
 _SPACES_RE = re.compile(" *")
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+_NAME_RE = re.compile("[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Cursor:

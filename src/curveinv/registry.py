@@ -174,10 +174,6 @@ class CalibrationReport:
     trials: int
     insufficient_evidence: bool
 
-    @property
-    def calibration(self) -> Calibration | None:
-        return self.survivors[0] if self.survivors else None
-
     def format(self) -> str:
         lines = [
             f"searched {self.configurations} configurations,"

@@ -142,6 +142,30 @@ def test_fuzz_with_control_moves_fails(capsys):
     assert "violation" in out
 
 
+def test_fuzz_off_table_triple_violation_replays(tmp_path, capsys):
+    # nR3 names its own moves, so the printed log replays as it is.
+    code, out, _ = run(
+        capsys, "fuzz", "--trials", "30", "--depth", "20",
+        "--kinds", "iR2_insert,iR2_delete,R3,nR3")
+    assert code == 1
+    block = out.split("violation seed=")[1].splitlines()
+    seed = next(x for x in block if "seed diagram:" in x).split(": ", 1)[1]
+    moves = [x for x in block[block.index("  moves:") + 1:]
+             if x.startswith("    ")]
+    assert any(x.split()[0] == "nR3" for x in moves)
+    log = tmp_path / "log.txt"
+    log.write_text("\n".join(moves) + "\n")
+    code, replayed, err = run(capsys, "replay", "--code", seed,
+                              "--log", str(log))
+    assert (code, err) == (0, "")
+    after = {x.split(":")[0].strip(): x.split("after=")[1]
+             for x in block if "after=" in x}
+    for name, value in after.items():
+        code, out, _ = run(capsys, "eval", "--formula", name,
+                           "--code", replayed.strip())
+        assert (code, out) == (0, value + "\n")
+
+
 def test_fuzz_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "fuzz", "--kinds", "R4")
     assert code == 2

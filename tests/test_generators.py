@@ -111,6 +111,9 @@ def test_equivalent_rejects_control_moves():
     with pytest.raises(ValueError):
         gen_equivalent(gen_torus(3), rng_seed=0, num_moves=1,
                        kinds=(MoveKind.DR2_INSERT,))
+    with pytest.raises(ValueError):
+        gen_equivalent(gen_torus(3), rng_seed=0, num_moves=1,
+                       kinds=(MoveKind.NR3,))
 
 
 def test_equivalent_stops_early_without_sites():

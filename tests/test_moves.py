@@ -70,14 +70,18 @@ def test_insert_site_enumeration_is_complete(kind):
 
 def test_site_lines_round_trip():
     lines = ["iR2_insert 3 7 up", "iR2_delete 5", "dR2_insert 0 0 down",
-             "dR2_delete 2", "R3 1 3 5"]
+             "dR2_delete 2", "R3 1 3 5", "nR3 2 4 8"]
     for line in lines:
         site = parse_move_line(line)
         assert site.format() == line
 
 
 def test_parse_move_line_rejects_junk():
-    for line in ("", "R3 1 3", "iR2_insert 1 2 sideways", "flip 1 2"):
+    # Slots are ASCII digits only: no other decimal digits, signs or
+    # underscores.
+    for line in ("", "R3 1 3", "iR2_insert 1 2 sideways", "flip 1 2",
+                 "iR2_delete \u0661", "R3 1_0 +4 7", "iR2_delete  +3",
+                 "nR3 2 4 -8"):
         with pytest.raises(ValueError):
             parse_move_line(line)
 
@@ -88,7 +92,7 @@ def test_torus_triple_sites():
     ]
     for n in (5, 7):
         assert find_sites(gen_torus(n).diagram, MoveKind.R3) == []
-        assert find_sites(gen_torus(n).diagram, MoveKind.R3, r3_variants="all") == []
+        assert find_sites(gen_torus(n).diagram, MoveKind.NR3) == []
 
 
 def oracle_seed_set():
@@ -106,12 +110,15 @@ def oracle_seed_set():
 def test_triple_site_enumeration_matches_exhaustive_scan():
     # Dual route: the engine enumerates from chord adjacency, the helper
     # scans every slot triple with its own copy of the shape table.
+    # R3 and nR3 split the pairwise-joined triples between them.
     for d in oracle_seed_set():
-        for variant, flag in (("realizable", True), ("all", False)):
-            engine = sorted(s.data for s in find_sites(d, MoveKind.R3,
-                                                       r3_variants=variant))
-            assert engine == scan_triple_sites(d, realizable_only=flag), (
-                serialize_diagram(d), variant)
+        r3 = {s.data for s in find_sites(d, MoveKind.R3)}
+        nr3 = {s.data for s in find_sites(d, MoveKind.NR3)}
+        text = serialize_diagram(d)
+        assert sorted(r3) == scan_triple_sites(d, realizable_only=True), text
+        everything = scan_triple_sites(d, realizable_only=False)
+        assert sorted(r3 | nr3) == everything, text
+        assert not r3 & nr3, text
 
 
 @pytest.mark.parametrize("kind", INSERT_KINDS)
@@ -140,7 +147,7 @@ def test_delete_then_insert_restores_exactly(kind):
 
 def test_triple_move_is_an_involution():
     for d in oracle_seed_set():
-        for site in find_sites(d, MoveKind.R3):
+        for site in find_sites(d, MoveKind.R3) + find_sites(d, MoveKind.NR3):
             d2 = apply_move(d, site)
             assert validate(d2) == []
             assert d2 != d
@@ -223,15 +230,15 @@ def test_off_table_triple_is_filtered_and_breaks_invariance(formulas, conv):
     assert shape[1] not in TRIPLE_TABLE[shape[0]]
 
     realizable = {s.data for s in find_sites(d, MoveKind.R3)}
-    everything = {s.data for s in find_sites(d, MoveKind.R3, r3_variants="all")}
+    off_table = {s.data for s in find_sites(d, MoveKind.NR3)}
     assert OFF_TABLE_TRIPLE not in realizable
-    assert OFF_TABLE_TRIPLE in everything
+    assert OFF_TABLE_TRIPLE in off_table
 
-    site = MoveSite(MoveKind.R3, OFF_TABLE_TRIPLE)
     with pytest.raises(StaleSiteError):
-        apply_move(d, site)
+        apply_move(d, MoveSite(MoveKind.R3, OFF_TABLE_TRIPLE))
+    site = MoveSite(MoveKind.NR3, OFF_TABLE_TRIPLE)
     before = evaluate_all(formulas, d, conv)
-    after = evaluate_all(formulas, apply_move(d, site, r3_variants="all"), conv)
+    after = evaluate_all(formulas, apply_move(d, site), conv)
     assert before == (1, -1, 0, 0, 0, -1)
     assert after == (-1, -1, 2, 0, 0, 0)
 
@@ -240,6 +247,8 @@ def test_stale_sites_rejected():
     tor = gen_torus(3).diagram
     with pytest.raises(StaleSiteError):
         apply_move(EMPTY, MoveSite(MoveKind.R3, (1, 3, 5)))
+    with pytest.raises(StaleSiteError):
+        apply_move(tor, MoveSite(MoveKind.NR3, (1, 3, 5)))  # an R3 site
     with pytest.raises(StaleSiteError):
         apply_move(tor, MoveSite(MoveKind.IR2_DELETE, (1,)))
     with pytest.raises(StaleSiteError):

@@ -112,6 +112,14 @@ def test_parse_formula_rejects_empty_name():
         parse_formula(" := [1-2]")
 
 
+def test_parse_formula_name_is_ascii():
+    # The name stops at the Arabic-Indic digit two, so ':=' is missing.
+    with pytest.raises(ParseError) as info:
+        parse_formula("I\u0662 := [1-2]", line=4)
+    assert (info.value.line, info.value.col) == (4, 2)
+    assert info.value.message == "expected ':='"
+
+
 def test_serialize_unit_coefficients_as_bare_signs():
     f = parse_formula("X := -1[1-3,2-4]")
     assert serialize_formula(f) == "X := -[1-3,2-4]"
