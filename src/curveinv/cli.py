@@ -54,15 +54,9 @@ def _convention_from(args) -> Convention:
 
 
 def _add_convention_flags(sub) -> None:
-    sub.add_argument(
-        "--orientation", choices=[o.value for o in Orientation], default=None
-    )
-    sub.add_argument(
-        "--arrow-rule", choices=[r.value for r in ArrowRule], default=None
-    )
-    sub.add_argument(
-        "--eval-mode", choices=[m.value for m in EvalMode], default=None
-    )
+    for flag, enum in (("--orientation", Orientation),
+                       ("--arrow-rule", ArrowRule), ("--eval-mode", EvalMode)):
+        sub.add_argument(flag, choices=[c.value for c in enum], default=None)
 
 
 def _read_records(args) -> list[tuple[int, str]]:
@@ -100,14 +94,10 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_kinds(text: str) -> tuple[MoveKind, ...]:
-    out = []
-    for name in text.split(","):
-        name = name.strip()
-        if name:
-            out.append(MoveKind(name))
+    out = tuple(MoveKind(n.strip()) for n in text.split(",") if n.strip())
     if not out:
         raise ValueError("empty move-kind list")
-    return tuple(out)
+    return out
 
 
 def _load_seeds(args) -> list:

@@ -97,6 +97,13 @@ class ArrowDiagram:
         fixed = sorted(self.arrows, key=lambda ar: (min(ar[0], ar[1]), ar))
         object.__setattr__(self, "arrows", tuple(fixed))
 
+    @classmethod
+    def _canonical(cls, n: int, arrows: tuple) -> ArrowDiagram:
+        """A diagram of arrows already in canonical order, left unsorted."""
+        d = object.__new__(cls)
+        d.__dict__.update(n=n, arrows=arrows)
+        return d
+
     @cached_property
     def slots(self) -> SlotTable:
         """The slot table of a valid diagram, built on first use and kept
@@ -254,10 +261,6 @@ def arrows_to_chords(a: ArrowDiagram, conv: Convention) -> SignedChordDiagram:
     """
     chords = []
     for t, h, s in a.arrows:
-        forward = t < h
-        if conv.arrow_rule is ArrowRule.FORWARD_PLUS:
-            sign = s if forward else -s
-        else:
-            sign = -s if forward else s
-        chords.append((min(t, h), max(t, h), sign))
+        keep = (t < h) == (conv.arrow_rule is ArrowRule.FORWARD_PLUS)
+        chords.append((min(t, h), max(t, h), s if keep else -s))
     return SignedChordDiagram(n=a.n, chords=tuple(chords))

@@ -14,16 +14,19 @@ starts at the base point, arc 2n ends at it).
 
 Site finders and applies read partners, directions and signs from the
 diagram's slot table (ArrowDiagram.slots), built at most once per diagram.
+Delete scans are one pass over that table. Applies build their arrows in
+canonical order (each arrow's lower end ascending), skipping the sort the
+public ArrowDiagram constructor still does.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, tee
+from itertools import chain, count, tee
 
 from .counting import CROSS, NEST, SEQ, _evaluate, _signature
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
@@ -94,7 +97,8 @@ _FIELDS: dict[MoveKind, tuple[type, ...]] = {
 
 
 def parse_move_line(text: str) -> MoveSite:
-    parts = text.split()
+    # Fields are separated by ASCII spaces only, as in the text grammar.
+    parts = [x for x in text.split(" ") if x]
     try:
         kind = MoveKind(parts[0])
         fields, args = _FIELDS[kind], parts[1:]
@@ -179,6 +183,11 @@ def _r3_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
     return sites
 
 
+# Where the mate of a deletable pair ends, relative to the first arrow's
+# upper end q: just inside it (iR2, nested) or just past it (dR2, crossed).
+_MATE_STEP = {MoveKind.IR2_DELETE: -1, MoveKind.DR2_DELETE: 1}
+
+
 def _delete_slots(d: ArrowDiagram, kind: MoveKind, p: int) -> list[int]:
     """The four slots, ascending, of the deletable pair of the given kind
     that starts at slot p (in 1..2n), or [] if there is none. The pair is a
@@ -186,7 +195,7 @@ def _delete_slots(d: ArrowDiagram, kind: MoveKind, p: int) -> list[int]:
     opposite direction, nested inside it (iR2) or crossing it (dR2)."""
     partner, forward, sign = d.slots
     q = partner[p]
-    mate = q - 1 if kind is MoveKind.IR2_DELETE else q + 1
+    mate = q + _MATE_STEP[kind]
     if (
         q > p + 1
         and partner[p + 1] == mate
@@ -227,13 +236,19 @@ def find_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
             for v in _VARIANTS
         ]
     if kind in _DELETE_KINDS:
-        # Only lower ends qualify; the sentinels (partner -1) never do.
+        # One zip pass: only a lower end whose neighbour ends at the mate
+        # slot reaches _delete_slots; the sentinels (partner -1) never do.
+        partner, step = d.slots.partner, _MATE_STEP[kind]
         return [
             MoveSite(kind, (p,))
-            for p, q in enumerate(d.slots.partner)
-            if q > p + 1 and _delete_slots(d, kind, p)
+            for p, q, q1 in zip(count(), partner, partner[1:])
+            if q1 == q + step and q > p + 1 and _delete_slots(d, kind, p)
         ]
     return _r3_sites(d, kind)
+
+
+def _lo(arrow) -> int:  # the canonical sort key of a valid diagram
+    return min(arrow[0], arrow[1])
 
 
 def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -242,10 +257,10 @@ def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
         raise StaleSiteError(f"insert arcs out of range: {site.format()}")
     # A slot moves up by 2 for each chosen arc below it.
     cuts = (g1, g2)
-    relabeled = tuple(
+    arrows = [
         (t + 2 * bisect_left(cuts, t), h + 2 * bisect_left(cuts, h), s)
         for t, h, s in d.arrows
-    )
+    ]
     s1, s2 = g1 + 1, g2 + 3
     up = variant is Variant.UP
     if site.kind is MoveKind.IR2_INSERT:
@@ -256,7 +271,11 @@ def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
         # Crossed pair, opposite directions.
         outer = (s1, s2, 1) if up else (s2, s1, 1)
         inner = (s2 + 1, s1 + 1, 1) if up else (s1 + 1, s2 + 1, 1)
-    return ArrowDiagram(n=d.n + 2, arrows=relabeled + (outer, inner))
+    # The new lower ends s1 < s1 + 1 follow every old one at or below g1
+    # and precede the rest, so the order stays canonical.
+    i = bisect_right(d.arrows, g1, key=_lo)
+    arrows[i:i] = outer, inner
+    return ArrowDiagram._canonical(d.n + 2, tuple(arrows))
 
 
 def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -269,7 +288,7 @@ def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
         for t, h, s in d.arrows
         if t not in removed
     )
-    return ArrowDiagram(n=d.n - 2, arrows=kept)
+    return ArrowDiagram._canonical(d.n - 2, kept)
 
 
 def _apply_r3(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -277,10 +296,15 @@ def _apply_r3(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     if not _is_r3_site(d, site.kind, p, q, r):
         raise StaleSiteError(f"stale triple-point site: {site.format()}")
     swap = {p: p + 1, p + 1: p, q: q + 1, q + 1: q, r: r + 1, r + 1: r}
-    arrows = tuple(
-        (swap.get(t, t), swap.get(h, h), s) for t, h, s in d.arrows
-    )
-    return ArrowDiagram(n=d.n, arrows=arrows)
+    # Only the three site arrows move. Pair p holds two lower ends, which
+    # trade places; pair q holds one, which keeps its place; pair r none.
+    arrows = list(d.arrows)
+    i = bisect_left(arrows, p, key=_lo)
+    j = bisect_left(arrows, q, key=_lo)
+    for k, (t, h, s) in ((i + 1, arrows[i]), (i, arrows[i + 1]),
+                         (j, arrows[j])):
+        arrows[k] = (swap[t], swap[h], s)
+    return ArrowDiagram._canonical(d.n, tuple(arrows))
 
 
 def apply_move(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -397,9 +421,9 @@ def value_changes(formulas, d0, walked, conv: Convention):
 
 
 def replay(d: ArrowDiagram, lines) -> ArrowDiagram:
-    """Re-run a move log (an iterable of lines; blanks and # notes skipped)."""
+    """Re-run a move log; blanks, # notes and outer ASCII spaces skipped."""
     for raw in lines:
-        text = raw.strip()
+        text = raw.rstrip("\n").strip(" ")
         if not text or text.startswith("#"):
             continue
         d = apply_move(d, parse_move_line(text))

@@ -9,6 +9,7 @@ of the pattern). No code is shared with counting.py.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import prod
 
 from .diagrams import ArrowDiagram, SignedChordDiagram
 from .patterns import ANY, EvalMode, Pattern, PatternKind
@@ -19,20 +20,20 @@ def _monotone(assignment: dict[int, int]) -> bool:
     return all(a < b for a, b in zip(ordered, ordered[1:]))
 
 
-def _chord_subset_matches(
-    p: Pattern, subset: tuple[tuple[int, int, int], ...]
-) -> bool:
+def _subset_matches(chords, subset: tuple[tuple[int, int, int], ...]) -> bool:
+    """Whether some bijection from pattern chords (a, b, constraint) onto
+    the subset's items (x, y, sign) meets every sign constraint and maps
+    each a to x and b to y strictly increasingly."""
     for perm in permutations(subset):
         assignment: dict[int, int] = {}
-        ok = True
-        for (a, b, constraint), (lo, hi, sign) in zip(p.chords, perm):
+        for (a, b, constraint), (x, y, sign) in zip(chords, perm):
             if constraint != ANY and sign != constraint:
-                ok = False
                 break
-            assignment[a] = lo
-            assignment[b] = hi
-        if ok and _monotone(assignment):
-            return True
+            assignment[a] = x
+            assignment[b] = y
+        else:
+            if _monotone(assignment):
+                return True
     return False
 
 
@@ -42,49 +43,30 @@ def count_embeddings_oracle(
     assert p.kind is PatternKind.CHORD
     total = 0
     for subset in combinations(d.chords, p.k):
-        if not _chord_subset_matches(p, subset):
-            continue
-        if mode is EvalMode.WEIGHTED:
-            w = 1
-            for _, _, sign in subset:
-                w *= sign
-            total += w
-        else:
-            total += 1
+        if _subset_matches(p.chords, subset):
+            weighted = mode is EvalMode.WEIGHTED
+            total += prod(s for _, _, s in subset) if weighted else 1
     return total
 
 
 def _arrow_subset_matches(
     p: Pattern, subset: tuple[tuple[int, int, int], ...]
 ) -> bool:
+    """_subset_matches for some rotation of the arrow pattern."""
     m = 2 * p.k
-    for shift in range(m):
-        shifted = [
+    return any(
+        _subset_matches([
             ((t - 1 + shift) % m + 1, (h - 1 + shift) % m + 1, c)
             for t, h, c in p.chords
-        ]
-        for perm in permutations(subset):
-            assignment: dict[int, int] = {}
-            ok = True
-            for (t, h, constraint), (tail, head, sign) in zip(shifted, perm):
-                if constraint != ANY and sign != constraint:
-                    ok = False
-                    break
-                assignment[t] = tail
-                assignment[h] = head
-            if ok and _monotone(assignment):
-                return True
-    return False
+        ], subset)
+        for shift in range(m)
+    )
 
 
 def count_arrow_pattern_oracle(p: Pattern, d: ArrowDiagram) -> int:
     assert p.kind is PatternKind.ARROW
     total = 0
     for subset in combinations(d.arrows, p.k):
-        if not _arrow_subset_matches(p, subset):
-            continue
-        w = 1
-        for _, _, sign in subset:
-            w *= sign
-        total += w
+        if _arrow_subset_matches(p, subset):
+            total += prod(s for _, _, s in subset)
     return total

@@ -125,12 +125,25 @@ def triple_shape(d: ArrowDiagram, trip: tuple[int, int, int]):
 
 
 def scan_triple_sites(d: ArrowDiagram, realizable_only: bool = True):
-    """Exhaustive scan over all slot triples; the move engine must agree."""
+    """Exhaustive scan over slot triples; the move engine must agree.
+
+    triple_shape accepts only triples whose three slot pairs are pairwise
+    joined by an arrow, so the scan classifies every such triple and skips
+    the rest unseen; that keeps it fast on a few hundred slots.
+    """
     m = 2 * d.n
+    # joined holds (i, j), i < j, when an arrow has one end in slot pair
+    # (i, i+1) and the other in slot pair (j, j+1).
+    joined = set()
+    for t, h, _ in d.arrows:
+        lo, hi = min(t, h), max(t, h)
+        joined.update((i, j) for i in (lo - 1, lo) for j in (hi - 1, hi))
     out = []
-    for p in range(1, m):
-        for q in range(p + 2, m):
-            for r in range(q + 2, m):
+    for p, q in sorted(joined):
+        if p < 1 or q < p + 2:
+            continue
+        for r in range(q + 2, m):
+            if (p, r) in joined and (q, r) in joined:
                 shape = triple_shape(d, (p, q, r))
                 if shape is None:
                     continue

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +24,13 @@ from curveinv import (
     serialize_diagram,
     validate,
 )
-from curveinv.moves import INVARIANCE_KINDS, STOPPED_EARLY, Variant, walk
+from curveinv.moves import (
+    INVARIANCE_KINDS,
+    KIND_ORDER,
+    STOPPED_EARLY,
+    Variant,
+    walk,
+)
 from curveinv.patterns import Formula
 from curveinv.registry import builtin_formulas, default_fuzz_seeds
 from helpers import (
@@ -45,6 +52,18 @@ def small_diagrams():
     yield gen_torus(3).diagram
     yield gen_cabc(1, 1, 1).diagram
     yield gen_cabc(2, 1, 1).diagram
+
+
+@lru_cache(maxsize=None)
+def walked_large() -> ArrowDiagram:
+    """A 200-chord diagram after 120 kind-balanced steps of all six kinds,
+    with sites of every kind."""
+    d = gen_cabc(0, 50, 50).diagram
+    for _, d in walk(d, random.Random(13), 120, random_site_balanced,
+                     KIND_ORDER):
+        pass
+    assert all(find_sites(d, kind) for kind in KIND_ORDER)
+    return d
 
 
 def test_empty_diagram_insert_sites():
@@ -78,10 +97,13 @@ def test_site_lines_round_trip():
 
 def test_parse_move_line_rejects_junk():
     # Slots are ASCII digits only: no other decimal digits, signs or
-    # underscores.
+    # underscores. Fields are separated by ASCII spaces only: no tab,
+    # no-break space or ideographic space.
     for line in ("", "R3 1 3", "iR2_insert 1 2 sideways", "flip 1 2",
                  "iR2_delete \u0661", "R3 1_0 +4 7", "iR2_delete  +3",
-                 "nR3 2 4 -8"):
+                 "nR3 2 4 -8", "R3 1\t3\u30005", "R3\t1 3 5",
+                 "iR2_delete\u00a03", "iR2_delete 3\u3000",
+                 "iR2_insert 0 2 down\t"):
         with pytest.raises(ValueError):
             parse_move_line(line)
 
@@ -109,9 +131,9 @@ def oracle_seed_set():
 
 def test_triple_site_enumeration_matches_exhaustive_scan():
     # Dual route: the engine enumerates from chord adjacency, the helper
-    # scans every slot triple with its own copy of the shape table.
-    # R3 and nR3 split the pairwise-joined triples between them.
-    for d in oracle_seed_set():
+    # scans every pairwise-joined slot triple with its own copy of the shape
+    # table. R3 and nR3 split those triples between them.
+    for d in [*oracle_seed_set(), walked_large()]:
         r3 = {s.data for s in find_sites(d, MoveKind.R3)}
         nr3 = {s.data for s in find_sites(d, MoveKind.NR3)}
         text = serialize_diagram(d)
@@ -312,6 +334,13 @@ def test_replay_applies_logged_moves():
     assert out == d
     with pytest.raises(StaleSiteError):
         replay(d, ["iR2_delete 1"])
+    # ASCII spaces around a line are ignored; other whitespace is refused.
+    assert replay(d, ["  iR2_insert 0 2 down ", " # note", "  "]) != d
+    for line in ("\tiR2_insert 0 2 down", "iR2_insert 0 2\u00a0down",
+                 "\u3000iR2_insert 0 2 down", "iR2_insert 0 2 down\u3000",
+                 "\u3000", "\t# note"):
+        with pytest.raises(ValueError, match="bad move line"):
+            replay(d, [line])
 
 
 def test_fuzz_zero_depth_is_vacuous(formulas, conv):
@@ -417,18 +446,56 @@ def test_delete_site_checked_locally():
 
 
 def test_delete_accepts_exactly_the_found_sites():
+    # Every slot from -1 to 2n+2 is tried: slots 1 and 2n, the sentinels 0
+    # and 2n+1, and one past each.
     rng = random.Random(17)
+    walked = []
     for start in small_diagrams():
         d = start
         for _ in range(6):
             d = apply_move(d, random_site(d, rng, kinds=INSERT_KINDS))
-            for kind in DELETE_OF.values():
-                found = find_sites(d, kind)
-                for p in range(-1, 2 * d.n + 3):
-                    site = MoveSite(kind, (p,))
-                    try:
-                        apply_move(d, site)
-                    except StaleSiteError:
-                        assert site not in found
-                    else:
-                        assert site in found
+            walked.append(d)
+    for d in walked + [walked_large()]:
+        for kind in DELETE_OF.values():
+            found = find_sites(d, kind)
+            for p in range(-1, 2 * d.n + 3):
+                site = MoveSite(kind, (p,))
+                try:
+                    apply_move(d, site)
+                except StaleSiteError:
+                    assert site not in found
+                else:
+                    assert site in found
+
+
+_VARIANT_RANK = {Variant.UP: 0, Variant.DOWN: 1}
+
+
+def _site_key(site):
+    return tuple(_VARIANT_RANK[x] if isinstance(x, Variant) else x
+                 for x in site.data)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_found_sites_strictly_ascend(kind):
+    # Samplers draw sites by index, so the RNG stream depends on this order.
+    for d in [*oracle_seed_set(), walked_large()]:
+        keys = [_site_key(s) for s in find_sites(d, kind)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), kind
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_applied_diagrams_are_canonical(kind):
+    # Applies build canonical order without sorting; the public constructor
+    # sorts. Both must give the same value, down to the arrow tuple.
+    large = walked_large()
+    cases = [(d, s) for d in oracle_seed_set() for s in find_sites(d, kind)]
+    sites = find_sites(large, kind)
+    # Every insert site of 200 chords is 160,000 applies; take a spread.
+    cases += [(large, s) for s in sites[::max(1, len(sites) // 400)]]
+    assert cases
+    for d, site in cases:
+        got = apply_move(d, site)
+        rebuilt = ArrowDiagram(n=got.n, arrows=tuple(reversed(got.arrows)))
+        assert got.arrows == rebuilt.arrows, site.format()
+        assert got == rebuilt and hash(got) == hash(rebuilt)

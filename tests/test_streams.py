@@ -17,8 +17,10 @@ from curveinv import (
     gen_equivalent,
     random_site,
     random_site_balanced,
+    serialize_diagram,
 )
 from curveinv.cli import main
+from curveinv.moves import INVARIANCE_KINDS, KIND_ORDER, walk
 
 
 def _digest(text: str) -> str:
@@ -53,6 +55,15 @@ def _alternating_samplers_log() -> str:
     return "\n".join(log)
 
 
+def _large_walk_log(sample, steps, rng_seed, kinds=INVARIANCE_KINDS) -> str:
+    # cabc(0,50,50) has 200 chords; the endpoint is pinned with the log.
+    d = gen_cabc(0, 50, 50).diagram
+    log = []
+    for site, d in walk(d, random.Random(rng_seed), steps, sample, kinds):
+        log.append(site.format())
+    return "\n".join(log + [serialize_diagram(d)])
+
+
 def _cli_stdout(capsys, argv) -> str:
     main(argv)
     return capsys.readouterr().out
@@ -68,6 +79,20 @@ def test_walk_streams_are_pinned():
     assert _digest(_alternating_samplers_log()) == (
         "8b07f5e679805c8c6b92b856da66c82a5b581d4448f62197db3d97111454867e"
     )
+
+
+def test_large_walk_streams_are_pinned():
+    # 200-chord walks: deletes and triple points at scale, all six kinds in
+    # the last one.
+    assert _digest(_large_walk_log(random_site_balanced, 200, 11)) == (
+        "219f44915e9f430c767e8a72123151d2bd0115b6a4ac4b9a7e0dc6912ebfb2fb"
+    )
+    assert _digest(_large_walk_log(random_site, 20, 12)) == (
+        "b2918d24d0b4119e761580a7451060795bc2efb87d3e08b79fa41b6868645ef4"
+    )
+    assert _digest(
+        _large_walk_log(random_site_balanced, 120, 13, KIND_ORDER)
+    ) == "e977650ec1c7feeb4b42b47ab27aa40daa26d5ccf42df2836f55d104b35ad6fd"
 
 
 @pytest.mark.parametrize("argv,expected", [
