@@ -7,6 +7,7 @@ empty calibration), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -172,7 +173,9 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="curveinv",
         description="Count chord/arrow patterns and test move invariance.",

@@ -12,7 +12,8 @@ rotations of one configuration differ only in sign constraints), which
 the compiled plan lists as based patterns of their own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
-(chords, or arrows read as chords) are indexed in smaller-endpoint order;
+(chords, or arrows read as chords: the tables negate the signs of arrows
+per the arrow rule, no copy per diagram) are in smaller-endpoint order;
 for i < j the relation of i to j is SEQ, CROSS or NEST as hi_i lies in
 (0, lo_j), (lo_j, hi_j) or (hi_j, 2n+1). A term's roles 2..k are realized
 as index tuples: every item for k = 2, else the pair list of the roles-2/3
@@ -46,10 +47,11 @@ import numpy as np
 
 from .diagrams import (
     ArrowDiagram,
+    ArrowRule,
     Convention,
     Orientation,
     SignedChordDiagram,
-    arrows_to_chords,
+    _items,
 )
 from .patterns import (
     ANY,
@@ -137,8 +139,8 @@ def _term(p: Pattern) -> Term:
 class DiagramTables:
     """Stacked tables of a batch of diagrams for the counting kernel.
 
-    The batch is a non-empty sequence of diagrams of one type and any
-    sizes; one diagram is a batch of one. Each diagram is padded to m =
+    The batch is a non-empty sequence of diagrams of any types and sizes;
+    one diagram is a batch of one. Each diagram is padded to m =
     (largest n) + 1 items: its padding item i is a sign-0 chord at slots
     (2i+1, 2i+2), after its last slot, so every diagram ends in at least
     one padding item. Item j of diagram b has global index b*m + j, items
@@ -153,22 +155,29 @@ class DiagramTables:
     j, so a diagram's last (padding) item is left out of its own table and
     a global index is its table row. F is exact in int32 because a filter
     is 0 or +-1 per item, so |F| <= m. Padding fails every role filter
-    (the unweighted filter is sign != 0), so it never counts. Arrow tables
-    also keep each arrow's direction, which arrow patterns filter on.
-    Memory is O(B*m^2).
+    (the unweighted filter is sign != 0), so it never counts. Items keep
+    their direction (chords point forward) for arrow patterns. Given an
+    arrow rule, the tables read arrows as chords: each arrow item whose
+    direction the rule negates has its sign negated, as arrows_to_chords
+    does, and chord items are left as they are. Memory is O(B*m^2).
     """
 
-    def __init__(self, diagrams):
-        is_chords = isinstance(diagrams[0], SignedChordDiagram)
+    def __init__(self, diagrams, rule: ArrowRule | None = None):
         self.batch = batch = len(diagrams)
         self.m = m = max(d.n for d in diagrams) + 1
         items = np.zeros((batch, m, 3), dtype=np.int32)
         items[:, :, :2] = np.arange(1, 2 * m + 1).reshape(m, 2)
         for b, d in enumerate(diagrams):
             if d.n:
-                items[b, :d.n] = d.chords if is_chords else d.arrows
+                items[b, :d.n] = _items(d)
         tail, head, self.signs = items.reshape(batch * m, 3).T
-        self.forward = None if is_chords else tail < head
+        self.forward = tail < head
+        if rule is not None:
+            arrows = np.repeat(
+                [isinstance(d, ArrowDiagram) for d in diagrams], m
+            )
+            flip = rule.negates(self.forward) & arrows
+            self.signs = np.where(flip, -self.signs, self.signs)
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         hi_j, hi_l = hi.reshape(batch, m, 1), hi.reshape(batch, 1, m)
         lo_j, lo_l = lo.reshape(batch, m, 1), lo.reshape(batch, 1, m)
@@ -416,8 +425,8 @@ def _evaluate(
     tuple per diagram, in order.
 
     Checks that every formula is of the caller's kind and that each
-    diagram fits it, switching arrows to signed chords for chord formulas
-    when a convention is given; then, per batch of diagrams, counts each
+    diagram fits it (under a convention, the tables read arrows as chords
+    for chord formulas); then, per batch of diagrams, counts each
     distinct based pattern of the compiled formulas once on one set of
     stacked tables and applies the coefficient map. Diagrams are read
     lazily, one batch (plus the diagram that opens the next) at a time, so
@@ -427,15 +436,16 @@ def _evaluate(
     """
     if any(f.kind is not kind for f in formulas):
         raise KindMismatchError(f"expected {kind.value} patterns")
+    rule, chordlike = None, SignedChordDiagram
+    if kind is PatternKind.CHORD and conv is not None:
+        rule, chordlike = conv.arrow_rule, (SignedChordDiagram, ArrowDiagram)
 
     def fit(d):
         if kind is PatternKind.ARROW:
             if not isinstance(d, ArrowDiagram):
                 raise KindMismatchError("arrow formula needs an arrow diagram")
             return d
-        if conv is not None and isinstance(d, ArrowDiagram):
-            d = arrows_to_chords(d, conv)
-        if not isinstance(d, SignedChordDiagram):
+        if not isinstance(d, chordlike):
             raise KindMismatchError(
                 "chord formula needs a signed chord diagram"
             )
@@ -446,7 +456,7 @@ def _evaluate(
     orientation = Orientation.CCW if conv is None else conv.orientation
     based, rows = _plan(formulas, orientation, mode)
     for batch in _batches(map(fit, diagrams)):
-        tables = DiagramTables(batch)
+        tables = DiagramTables(batch, rule)
         counts = [tables.count(t, weighted).tolist() for t, weighted in based]
         for b in range(len(batch)):
             yield tuple(sum(c * counts[i][b] for i, c in row) for row in rows)
@@ -519,9 +529,9 @@ def evaluate_all(
 ) -> tuple[int, ...]:
     """Evaluate several chord formulas under one convention, sharing tables.
 
-    Equivalent to evaluate_with_convention per formula but converts the
-    diagram and builds the tables only once, and counts each based pattern
-    the formulas share once.
+    Equivalent to evaluate_with_convention per formula but builds the
+    tables only once, and counts each based pattern the formulas share
+    once.
     """
     return next(_evaluate(
         PatternKind.CHORD, tuple(formulas), [d], conv, conv.eval_mode

@@ -36,6 +36,11 @@ class ArrowRule(Enum):
     FORWARD_PLUS = "forward_plus"
     FORWARD_MINUS = "forward_minus"
 
+    def negates(self, forward):
+        """Whether the rule flips the sign of an arrow of this direction
+        (elementwise on a numpy bool array)."""
+        return forward != (self is ArrowRule.FORWARD_PLUS)
+
 
 @dataclass(frozen=True)
 class Convention:
@@ -259,8 +264,8 @@ def arrows_to_chords(a: ArrowDiagram, conv: Convention) -> SignedChordDiagram:
     diagrams (the ones plane curves produce) the map is a bijection onto
     signed diagrams; the arrow sign can be recovered by inverting the rule.
     """
-    chords = []
-    for t, h, s in a.arrows:
-        keep = (t < h) == (conv.arrow_rule is ArrowRule.FORWARD_PLUS)
-        chords.append((min(t, h), max(t, h), s if keep else -s))
-    return SignedChordDiagram(n=a.n, chords=tuple(chords))
+    rule = conv.arrow_rule
+    return SignedChordDiagram(n=a.n, chords=tuple(
+        (min(t, h), max(t, h), -s if rule.negates(t < h) else s)
+        for t, h, s in a.arrows
+    ))

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import curveinv
 from curveinv.cli import main
 
 TORUS3 = "arrows; n=3; 1>4:+ 5>2:+ 3>6:+"
+TORUS5 = "arrows; n=5; 1>6:+ 7>2:+ 3>8:+ 9>4:+ 5>10:+"
 
 
 def run(capsys, *argv):
@@ -106,6 +113,41 @@ def test_identical_invocations_are_byte_identical(capsys):
     second = run(capsys, "fuzz", "--trials", "3", "--depth", "4",
                  "--rng-seed", "9")
     assert first == second
+
+
+def test_one_process_runs_like_fresh_processes(tmp_path, capsys):
+    # The parser is built once per process; interleaved commands, flags
+    # and usage errors must each print what a fresh process prints.
+    log = tmp_path / "log.txt"
+    log.write_text("iR2_insert 0 2 down\n")
+    flags = ("--orientation", "cw", "--arrow-rule", "forward_minus",
+             "--eval-mode", "constrained")
+    calls = [
+        ("eval", "--formula", "I3_1", "--code", TORUS5),
+        ("eval", "--formula", "I3_1", "--code", TORUS5, *flags),
+        ("fuzz", "--trials", "2", "--depth", "3", "--rng-seed", "4"),
+        ("replay", "--code", TORUS3, "--log", str(log)),
+        ("eval", "--formula", "I2_1", "--orientation", "cw",
+         "--code", TORUS3),
+        ("eval", "--formula", "I2_1", "--kinds", "R3", "--code", TORUS3),
+        ("eval", "--formula", "I3_1", "--code", TORUS5),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(curveinv.__file__).parents[1])}
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "curveinv.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 2, 0]
 
 
 def test_fuzz_ok(capsys):

@@ -21,6 +21,7 @@ from curveinv import (
     arrows_to_chords,
     builtin_chord_patterns,
     builtin_formula,
+    builtin_formulas,
     gen_cabc,
     gen_torus,
     mirror_formula,
@@ -520,6 +521,21 @@ def test_evaluate_many_matches_evaluate_all_per_diagram(ds, conv):
     ]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_any_diagram(), max_size=12))
+def test_tables_read_arrows_as_the_explicit_switch_does(ds):
+    # The tables switch arrow rows in place; the reference switches each
+    # arrow diagram to a chord diagram first, so a wrong flip (inverted,
+    # or applied to chord rows) shows here.
+    formulas = builtin_formulas()
+    for conv in CONVENTIONS:
+        assert evaluate_many(formulas, ds, conv) == [
+            evaluate_all(formulas, arrows_to_chords(d, conv), conv)
+            if isinstance(d, ArrowDiagram) else evaluate_all(formulas, d, conv)
+            for d in ds
+        ]
+
+
 def test_evaluate_many_of_no_diagrams(formulas, conv):
     assert evaluate_many(formulas, [], conv) == []
 
@@ -569,9 +585,9 @@ def test_evaluate_many_splits_input_by_element_budget(
     built = []
     init = counting.DiagramTables.__init__
 
-    def recording(self, diagrams):
+    def recording(self, diagrams, rule=None):
         built.append([d.n for d in diagrams])
-        init(self, diagrams)
+        init(self, diagrams, rule)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
     # 30 diagrams of 12 to 50 chords, then one whose own padded codes

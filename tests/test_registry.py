@@ -1,28 +1,38 @@
+import functools
 import importlib.resources as resources
+import random
 
 import pytest
 
 from curveinv import (
+    ArrowRule,
+    Calibration,
+    CalibrationReport,
     Convention,
     EvalMode,
     Formula,
     Orientation,
     PatternKind,
+    arrows_to_chords,
     builtin_chord_patterns,
     builtin_formula,
     builtin_formulas,
     calibrate,
     count_arrow_pattern,
+    count_arrow_with_convention,
     default_fuzz_seeds,
+    evaluate_many,
     format_calibration,
     frozen_calibration,
     gen_cabc,
     gen_torus,
     parse_calibration,
+    random_site_balanced,
     serialize_formula,
     serialize_pattern,
     triangle_candidates,
 )
+from curveinv.moves import walk
 
 NAMES = ("I2_1", "I3_1", "I3_2", "I3_3", "I3_4", "I3_5")
 TERM_COUNTS = {"I2_1": 2, "I3_1": 8, "I3_2": 6, "I3_3": 6, "I3_4": 21, "I3_5": 10}
@@ -179,16 +189,21 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
         ]
         assert list(diagrams) == braids
     # Configurations are numbered orientation-major, then arrow rule, eval
-    # mode and candidate; each walk is seeded by its number.
-    expected = []
+    # mode and candidate. Each convention (a run of 8 numbers) is walked
+    # once, seeded by the number of its first candidate passing the gate.
+    passing = []
     for i in range(64):
         conv = Convention(orientation=(Orientation.CCW, Orientation.CW)[i // 32])
         cand = triangle_candidates()[i % 8]
         if [
             count_arrow_with_convention(cand, t, conv) for t in braids
         ] == [1, 5, 14]:
-            expected.append(i + 1)
-    assert walked == expected
+            passing.append(i + 1)
+    first = {}
+    for index in passing:
+        first.setdefault((index - 1) // 8, index)
+    assert len(first) == 8
+    assert walked == list(first.values())
     assert report.configurations == 64
 
 
@@ -200,9 +215,9 @@ def test_invariance_walk_of_small_diagrams_builds_one_table_set(
     built = []
     init = counting.DiagramTables.__init__
 
-    def recording(self, diagrams):
+    def recording(self, diagrams, rule=None):
         built.append(len(diagrams))
-        init(self, diagrams)
+        init(self, diagrams, rule)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
     seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
@@ -231,6 +246,76 @@ def test_calibrate_corrupted_formula_kills_every_configuration():
     )
     assert report.survivors == []
     assert "no surviving configuration" in report.format()
+
+
+@functools.cache
+def _counts_braids(cand, orientation):
+    """The triangle gate: cand counts 1, 5, 14 on the closed 2-braids."""
+    return [
+        count_arrow_with_convention(cand, gen_torus(k).diagram,
+                                    Convention(orientation))
+        for k in (3, 5, 7)
+    ] == [1, 5, 14]
+
+
+def _reference_calibration(seeds, trials, rng_seed, formulas):
+    """calibrate as it walked before invariance was shared: every candidate
+    passing the triangle gate walks each seed on its own stream, to the
+    end, with arrows switched to chords one diagram at a time."""
+    survivors, index = [], 0
+    for orientation in (Orientation.CCW, Orientation.CW):
+        for rule in (ArrowRule.FORWARD_PLUS, ArrowRule.FORWARD_MINUS):
+            for mode in (EvalMode.CONSTRAINED, EvalMode.WEIGHTED):
+                conv = Convention(orientation, rule, mode)
+                for cand in triangle_candidates():
+                    index += 1
+                    if not _counts_braids(cand, orientation):
+                        continue
+                    holds = True
+                    for si, seed in enumerate(seeds):
+                        rng = random.Random(f"{rng_seed}|{index}|{si}")
+                        d = seed.diagram
+                        walked = walk(d, rng, trials, random_site_balanced)
+                        chords = [arrows_to_chords(d, conv)] + [
+                            arrows_to_chords(after, conv)
+                            for _, after in walked
+                        ]
+                        values = evaluate_many(formulas, chords, conv)
+                        holds &= len(set(values)) == 1
+                    if holds:
+                        survivors.append(Calibration(conv, cand))
+    return CalibrationReport(survivors, index, trials, trials == 0)
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 5, 20])
+def test_calibrate_equals_the_per_candidate_reference(formulas, trials):
+    seeds = default_fuzz_seeds()
+    for rng_seed in ("0", "1", "2", "3", "17"):
+        assert calibrate(seeds, trials, rng_seed).format() == (
+            _reference_calibration(seeds, trials, rng_seed, formulas).format()
+        )
+
+
+def test_calibrate_of_a_corrupted_formula_equals_the_reference():
+    corrupted = list(builtin_formulas())
+    terms = corrupted[0].terms
+    corrupted[0] = Formula(
+        corrupted[0].name, ((-terms[0][0], terms[0][1]),) + terms[1:]
+    )
+    seeds = default_fuzz_seeds()
+    report = calibrate(seeds, 5, "0", formulas=corrupted)
+    assert report.survivors == []
+    assert report.format() == (
+        _reference_calibration(seeds, 5, "0", corrupted).format()
+    )
+
+
+def test_packaged_calibration_reproduces_as_its_file_says():
+    # data/calibration.cfg: the first survivor over cabc(1,1,1),
+    # cabc(2,1,1) and torus(3) at trials=200.
+    seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
+    report = calibrate(seeds, 200, "0")
+    assert report.survivors[0] == frozen_calibration()
 
 
 def test_default_fuzz_seed_set():
