@@ -2,9 +2,12 @@
 
 Inverse-tangency inserts add a nested arrow pair with opposite directions;
 the direct-tangency variant (the negative control) adds a crossed pair.
-Triple-point moves swap the contents of three adjacent slot pairs joined
-pairwise by three arrows; nR3, the other negative control, takes the
-triples whose decoration no plane curve produces. All slot relabeling is
+Nested against crossed is one mate step (_MATE_STEP), read by inserts and
+deletes alike. Triple-point moves swap the contents of three adjacent slot
+pairs joined pairwise by three arrows; nR3, the other negative control,
+takes the triples whose decoration no plane curve produces. Which triples
+plane curves give is two parity checks on the arrows' slots and
+directions (_r3_kind), not a table. All slot relabeling is
 order-preserving, so an insert followed by its delete restores the
 original diagram exactly, and a triple-point move is its own inverse.
 
@@ -28,7 +31,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, count, tee
 
-from .counting import CROSS, NEST, SEQ, _evaluate, _signature
+from .counting import _evaluate
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
 from .patterns import _INT_RE, PatternKind
 
@@ -112,48 +115,33 @@ def parse_move_line(text: str) -> MoveSite:
     return MoveSite(kind, data)
 
 
-# Triple-point decorations seen on diagrams of plane curves, keyed by the
-# pairwise-relation vector (counting._signature) of the three arrows read as
-# chords sorted by smaller slot. A decoration entry is (d12, d13, d23):
-# whether the arrow joining slot pairs i and j points from the lower pair to
-# the higher one.
-_T, _F = True, False
-_REALIZABLE: dict[tuple[int, ...], frozenset[tuple[bool, bool, bool]]] = {
-    (CROSS, SEQ, CROSS): frozenset({(_T, _T, _T), (_F, _F, _F)}),
-    (NEST, NEST, CROSS): frozenset({(_T, _T, _T), (_F, _F, _F)}),
-    (CROSS, SEQ, NEST): frozenset({(_T, _F, _F), (_F, _T, _T)}),
-    (NEST, CROSS, CROSS): frozenset({(_T, _F, _F), (_F, _T, _T)}),
-    (CROSS, CROSS, CROSS): frozenset({(_F, _T, _F), (_T, _F, _T)}),
-    (NEST, NEST, SEQ): frozenset({(_F, _T, _F), (_T, _F, _T)}),
-    (CROSS, CROSS, NEST): frozenset({(_F, _F, _T), (_T, _T, _F)}),
-    (NEST, CROSS, SEQ): frozenset({(_F, _F, _T), (_T, _T, _F)}),
-}
+def _r3_kind(d: ArrowDiagram, p, q, r) -> MoveKind | None:
+    """The triple-point kind, R3 or nR3, of slot pairs (p, p+1), (q, q+1),
+    (r, r+1); None unless they lie in order inside 1..2n and are joined
+    pairwise by three arrows.
 
-
-def _is_r3_site(d: ArrowDiagram, kind: MoveKind, p, q, r) -> bool:
-    """Whether slot pairs (p, p+1), (q, q+1), (r, r+1) lie in order inside
-    1..2n, are joined pairwise by three arrows, and carry a decoration of
-    the given kind: listed in _REALIZABLE for R3, not listed for nR3."""
+    The shape is three slot choices: a, whether the p-q arrow leaves slot
+    p+1; b, whether it enters q+1; c, whether the p-r arrow enters r+1. The
+    decoration is three directions: pq, pr, qr, whether each arrow points
+    from its lower pair to its higher one. Plane curves give exactly the
+    16 of these 64 triples with pq ^ pr == b ^ c and pr ^ qr == a ^ b.
+    """
     if not (1 <= p and p + 2 <= q and q + 2 <= r and r < 2 * d.n):
-        return False
+        return None
     partner, forward, _ = d.slots
-    pairs = ((p, p + 1), (q, q + 1), (r, r + 1))
-    decor = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        x0, x1 = pairs[i]
-        if partner[x0] in pairs[j]:
-            decor.append(forward[x0])
-        elif partner[x1] in pairs[j]:
-            decor.append(forward[x1])
-        else:
-            return False
-    # The three arrows as chords in lo order: every lower end is in pair p
-    # or pair q.
-    chords = tuple(
-        (x, partner[x]) for x in (p, p + 1, q, q + 1) if partner[x] > x
-    )
-    realizable = tuple(decor) in _REALIZABLE.get(_signature(chords), ())
-    return realizable == (kind is MoveKind.R3)
+    a = not q <= partner[p] <= q + 1
+    b = partner[p + a] == q + 1
+    c = partner[p + 1 - a] == r + 1
+    if not (
+        q <= partner[p + a] <= q + 1
+        and r <= partner[p + 1 - a] <= r + 1
+        and partner[q + 1 - b] == r + 1 - c
+    ):
+        return None
+    pq, pr, qr = forward[p + a], forward[p + 1 - a], forward[q + 1 - b]
+    if pq ^ pr == b ^ c and pr ^ qr == a ^ b:
+        return MoveKind.R3
+    return MoveKind.NR3
 
 
 def _r3_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
@@ -178,14 +166,18 @@ def _r3_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
                 # 2q+1-x is the slot of pair q that x is not; same for r.
                 if partner[2 * q + 1 - x] != 2 * r + 1 - y:
                     continue
-                if _is_r3_site(d, kind, p, q, r):
+                if _r3_kind(d, p, q, r) is kind:
                     sites.append(MoveSite(kind, (p, q, r)))
     return sites
 
 
-# Where the mate of a deletable pair ends, relative to the first arrow's
-# upper end q: just inside it (iR2, nested) or just past it (dR2, crossed).
-_MATE_STEP = {MoveKind.IR2_DELETE: -1, MoveKind.DR2_DELETE: 1}
+# The one statement of nested against crossed: where the mate of a tangency
+# pair ends, relative to the upper end q of the arrow from the pair's first
+# slot, just inside it (iR2, nested) or just past it (dR2, crossed).
+_MATE_STEP = {
+    MoveKind.IR2_INSERT: -1, MoveKind.IR2_DELETE: -1,
+    MoveKind.DR2_INSERT: 1, MoveKind.DR2_DELETE: 1,
+}
 
 
 def _delete_slots(d: ArrowDiagram, kind: MoveKind, p: int) -> list[int]:
@@ -261,20 +253,18 @@ def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
         (t + 2 * bisect_left(cuts, t), h + 2 * bisect_left(cuts, h), s)
         for t, h, s in d.arrows
     ]
-    s1, s2 = g1 + 1, g2 + 3
-    up = variant is Variant.UP
-    if site.kind is MoveKind.IR2_INSERT:
-        # Nested pair, opposite directions.
-        outer = (s1, s2 + 1, 1) if up else (s2 + 1, s1, 1)
-        inner = (s2, s1 + 1, 1) if up else (s1 + 1, s2, 1)
-    else:
-        # Crossed pair, opposite directions.
-        outer = (s1, s2, 1) if up else (s2, s1, 1)
-        inner = (s2 + 1, s1 + 1, 1) if up else (s1 + 1, s2 + 1, 1)
+    # The new pair has lower ends s1, s1 + 1 and upper ends g2 + 3, g2 + 4:
+    # the arrow from s1 ends at q, its mate at s1 + 1 ends at q + step, and
+    # the two point opposite ways (up: the arrow from s1 points forward).
+    s1, step = g1 + 1, _MATE_STEP[site.kind]
+    q = g2 + 3 if step > 0 else g2 + 4
+    pair = ((s1, q, 1), (q + step, s1 + 1, 1))
+    if variant is Variant.DOWN:
+        pair = tuple((h, t, s) for t, h, s in pair)
     # The new lower ends s1 < s1 + 1 follow every old one at or below g1
     # and precede the rest, so the order stays canonical.
     i = bisect_right(d.arrows, g1, key=_lo)
-    arrows[i:i] = outer, inner
+    arrows[i:i] = pair
     return ArrowDiagram._canonical(d.n + 2, tuple(arrows))
 
 
@@ -293,7 +283,7 @@ def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
 
 def _apply_r3(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     p, q, r = site.data
-    if not _is_r3_site(d, site.kind, p, q, r):
+    if _r3_kind(d, p, q, r) is not site.kind:
         raise StaleSiteError(f"stale triple-point site: {site.format()}")
     swap = {p: p + 1, p + 1: p, q: q + 1, q + 1: q, r: r + 1, r + 1: r}
     # Only the three site arrows move. Pair p holds two lower ends, which
@@ -408,8 +398,13 @@ def value_changes(formulas, d0, walked, conv: Convention):
     """Yield (before, after, tag) per (diagram, tag) of `walked` whose chord
     formula values differ from d0's. Walk draws never depend on values, so
     diagrams are evaluated in batches as `walked` yields them, and a caller
-    that stops reading stops the walk one batch after that change."""
-    walked, tagged = tee(walked)
+    that stops reading stops the walk one batch after that change. Nothing
+    is evaluated until `walked` yields its first diagram."""
+    walked = iter(walked)
+    first = next(walked, None)
+    if first is None:
+        return
+    walked, tagged = tee(chain([first], walked))
     values = _evaluate(
         PatternKind.CHORD, tuple(formulas),
         chain([d0], (d for d, _ in walked)), conv, conv.eval_mode,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import lru_cache
 
@@ -165,6 +166,38 @@ def test_delete_then_insert_restores_exactly(kind):
         assert any(apply_move(d2, s) == d for s in find_sites(d2, kind))
         found += 1
     assert found > 0
+
+
+def three_arrow_triples():
+    """The 64 diagrams whose slot pairs (1, 2), (3, 4), (5, 6) are joined
+    pairwise by three arrows: 2^3 slot choices times 2^3 directions."""
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        # Slot 1+a joins 3+b, slot 2-a joins 5+c, slot 4-b joins 6-c.
+        ends = ((1 + a, 3 + b), (2 - a, 5 + c), (4 - b, 6 - c))
+        for flips in itertools.product((False, True), repeat=3):
+            yield ArrowDiagram(3, tuple(
+                (h, t, 1) if flip else (t, h, 1)
+                for (t, h), flip in zip(ends, flips)
+            ))
+
+
+def test_every_three_arrow_triple_point():
+    # Every decoration of a triple point, against the helper's own table.
+    kinds = []
+    for d in three_arrow_triples():
+        text = serialize_diagram(d)
+        (site,) = find_sites(d, MoveKind.R3) + find_sites(d, MoveKind.NR3)
+        assert site.data == (1, 3, 5), text
+        word, decor = triple_shape(d, site.data)
+        realizable = decor in TRIPLE_TABLE[word]
+        assert site.kind is (MoveKind.R3 if realizable else MoveKind.NR3), text
+        moved = apply_move(d, site)
+        assert validate(moved) == [] and moved != d, text
+        assert apply_move(moved, site) == d, text
+        kinds.append(site.kind)
+    assert len(set(map(serialize_diagram, three_arrow_triples()))) == 64
+    assert kinds.count(MoveKind.R3) == 16
+    assert kinds.count(MoveKind.NR3) == 48
 
 
 def test_triple_move_is_an_involution():

@@ -24,6 +24,7 @@ from curveinv import (
     evaluate_many,
     format_calibration,
     frozen_calibration,
+    fuzz_invariance,
     gen_cabc,
     gen_torus,
     parse_calibration,
@@ -139,6 +140,43 @@ def test_calibrate_zero_trials_flags_insufficient_evidence():
     # Only the torus-count criterion filters: both eval modes survive.
     assert len(report.survivors) == 16
     assert "insufficient evidence" in report.format()
+
+
+def test_zero_move_walks_evaluate_nothing(monkeypatch, formulas, conv):
+    from curveinv import counting
+
+    built = []
+    init = counting.DiagramTables.__init__
+
+    def recording(self, diagrams, rule=None):
+        built.append(rule)
+        init(self, diagrams, rule)
+
+    monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
+    seeds = default_fuzz_seeds()
+    report = calibrate(seeds, trials=0, rng_seed="0")
+    # Only the triangle gate counts, one arrow batch per orientation: a
+    # walk without moves evaluates no start diagram.
+    assert built == [None, None]
+    survivors = [
+        f"  orientation={o}; arrow_rule={r}; eval_mode={m}; triangle={t}"
+        for o in ("ccw", "cw")
+        for r in ("forward_plus", "forward_minus")
+        for m in ("constrained", "weighted")
+        for t in ("[1>4,5>2,3>6]", "[4>1,2>5,6>3]")
+    ]
+    assert report.format().splitlines() == [
+        "searched 64 configurations, 0 moves per seed",
+        "insufficient evidence: zero moves leaves the invariance criterion"
+        " vacuous",
+        "16 surviving configuration(s):",
+        *survivors,
+    ]
+    built.clear()
+    fuzz = fuzz_invariance(formulas, seeds, trials=0, depth=5, rng_seed=0,
+                           convention=conv)
+    assert built == []
+    assert fuzz.format() == "OK trials=0 depth=5 seeds=14"
 
 
 def test_calibrate_selects_weighted_mode():
