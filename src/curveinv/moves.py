@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, count, tee
+from itertools import chain, count, islice, tee
 
 from .counting import _evaluate
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
@@ -151,19 +151,18 @@ def _r3_sites(d: ArrowDiagram, kind: MoveKind) -> list[MoveSite]:
     lead right, the nearer one into the pair at q and the farther one into
     the pair at r, and the other slots of those two pairs are joined.
     """
-    m = 2 * d.n
     partner = d.slots.partner
     sites = []
-    for p in range(1, m):
+    for p in range(1, 2 * d.n):
         a, b = partner[p], partner[p + 1]
         x, y = (a, b) if a < b else (b, a)
         if x <= p + 1:
             continue
         for q in (x - 1, x):
             for r in (y - 1, y):
-                if q < p + 2 or r < q + 2 or r >= m:
-                    continue
                 # 2q+1-x is the slot of pair q that x is not; same for r.
+                # It lies in p+1..2n+1, so it never passes the sentinel;
+                # _r3_kind refuses triples out of order or out of range.
                 if partner[2 * q + 1 - x] != 2 * r + 1 - y:
                     continue
                 if _r3_kind(d, p, q, r) is kind:
@@ -243,16 +242,21 @@ def _lo(arrow) -> int:  # the canonical sort key of a valid diagram
     return min(arrow[0], arrow[1])
 
 
+def _shifted(arrows, below, step: int) -> list:
+    """The arrows with each slot x moved by `step` for every entry of the
+    ascending sequence `below` that is less than x."""
+    return [
+        (t + step * bisect_left(below, t), h + step * bisect_left(below, h), s)
+        for t, h, s in arrows
+    ]
+
+
 def _apply_insert(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     g1, g2, variant = site.data
     if not 0 <= g1 <= g2 <= 2 * d.n:
         raise StaleSiteError(f"insert arcs out of range: {site.format()}")
     # A slot moves up by 2 for each chosen arc below it.
-    cuts = (g1, g2)
-    arrows = [
-        (t + 2 * bisect_left(cuts, t), h + 2 * bisect_left(cuts, h), s)
-        for t, h, s in d.arrows
-    ]
+    arrows = _shifted(d.arrows, (g1, g2), 2)
     # The new pair has lower ends s1, s1 + 1 and upper ends g2 + 3, g2 + 4:
     # the arrow from s1 ends at q, its mate at s1 + 1 ends at q + step, and
     # the two point opposite ways (up: the arrow from s1 points forward).
@@ -273,12 +277,11 @@ def _apply_delete(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
     removed = 1 <= p <= 2 * d.n and _delete_slots(d, site.kind, p)
     if not removed:
         raise StaleSiteError(f"stale delete site: {site.format()}")
-    kept = tuple(
-        (t - bisect_left(removed, t), h - bisect_left(removed, h), s)
-        for t, h, s in d.arrows
-        if t not in removed
+    # A slot moves down by 1 for each removed slot below it.
+    kept = (a for a in d.arrows if a[0] not in removed)
+    return ArrowDiagram._canonical(
+        d.n - 2, tuple(_shifted(kept, removed, -1))
     )
-    return ArrowDiagram._canonical(d.n - 2, kept)
 
 
 def _apply_r3(d: ArrowDiagram, site: MoveSite) -> ArrowDiagram:
@@ -488,30 +491,23 @@ def fuzz_invariance(
         raise ValueError(
             f"trials and depth must be >= 0, got {trials} and {depth}"
         )
+    seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
     names = tuple(f.name for f in formulas)
-    violations: list[FuzzViolation] = []
-    for si, seed in enumerate(seeds):
-        d0 = seed.diagram if isinstance(seed, CurveDiagram) else seed
-        rngs = (random.Random(f"{rng_seed}:{si}:{t}") for t in range(trials))
-        walks = (
-            logged_walk(d0, rng, depth, random_site, kinds)
-            for rng in rngs
-        )
-        tagged = ((d, (t, tuple(log))) for t, (d, log) in enumerate(walks))
+
+    def walks(si, d0):
+        for t in range(trials):
+            rng = random.Random(f"{rng_seed}:{si}:{t}")
+            d, log = logged_walk(d0, rng, depth, random_site, kinds)
+            yield d, (t, tuple(log))
+
+    violations = (
+        FuzzViolation(si, serialize_diagram(d0), trial, names, before, after,
+                      log)
+        for si, d0 in enumerate(seeds)
         for before, after, (trial, log) in value_changes(
-            formulas, d0, tagged, convention
-        ):
-            violations.append(
-                FuzzViolation(
-                    seed_index=si,
-                    seed_text=serialize_diagram(d0),
-                    trial=trial,
-                    names=names,
-                    before=before,
-                    after=after,
-                    log=log,
-                )
-            )
-            if max_violations and len(violations) >= max_violations:
-                return FuzzReport(len(seeds), trials, depth, violations)
-    return FuzzReport(len(seeds), trials, depth, violations)
+            formulas, d0, walks(si, d0), convention
+        )
+    )
+    # A cap of 0 or None keeps every violation.
+    found = list(islice(violations, max_violations or None))
+    return FuzzReport(len(seeds), trials, depth, found)

@@ -201,11 +201,13 @@ def calibrate(
     A configuration survives when (a) every formula value is unchanged by
     each of `trials` random tangency/triple-point moves on every seed, and
     (b) its triangle candidate counts 1, 5, 14 on the 3-, 5-, 7-crossing
-    closed 2-braids. (a) reads only the convention, so it is decided once
-    per convention, by walks seeded with the number (1.., orientation,
-    rule, mode, candidate order) of its first candidate passing (b).
+    closed 2-braids. (b) reads only the orientation: one batched count
+    each. (a) reads only the convention: one walk set per convention with
+    a passing candidate, on stream 8*i + j + 1 for convention i in
+    (orientation, rule, mode) order and its first passing candidate j.
     Deterministic for fixed seeds/trials/rng_seed.
     """
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if trials < 0:
@@ -213,12 +215,10 @@ def calibrate(
     if formulas is None:
         formulas = builtin_formulas()
     braids = [gen_torus(k).diagram for k in (3, 5, 7)]
-    survivors: list[Calibration] = []
-    config_index = 0
     candidates = triangle_candidates()
-    for orientation in (Orientation.CCW, Orientation.CW):
-        # Arrow counts read only the orientation of a convention; the
-        # candidates, as one-term formulas, are counted in one batch.
+    passing = {}  # orientation -> indices of the candidates passing (b)
+    for orientation in Orientation:
+        # The candidates, as one-term formulas, are counted in one batch.
         counts = _evaluate(
             PatternKind.ARROW,
             tuple(Formula("", ((1, c),)) for c in candidates),
@@ -226,23 +226,20 @@ def calibrate(
             Convention(orientation),
             None,
         )
-        reproduces = [row == (1, 5, 14) for row in zip(*counts)]
-        for arrow_rule in (ArrowRule.FORWARD_PLUS, ArrowRule.FORWARD_MINUS):
-            for mode in (EvalMode.CONSTRAINED, EvalMode.WEIGHTED):
-                conv = Convention(orientation, arrow_rule, mode)
-                holds = None
-                for cand, ok in zip(candidates, reproduces):
-                    config_index += 1
-                    if ok and holds is None:
-                        holds = _invariance_holds(formulas, seeds, trials,
-                                                  rng_seed, conv, config_index)
-                    if ok and holds:
-                        survivors.append(
-                            Calibration(convention=conv, triangle=cand)
-                        )
+        passing[orientation] = [
+            j for j, row in enumerate(zip(*counts)) if row == (1, 5, 14)
+        ]
+    conventions = list(product(Orientation, ArrowRule, EvalMode))
+    survivors: list[Calibration] = []
+    for i, (orientation, rule, mode) in enumerate(conventions):
+        conv = Convention(orientation, rule, mode)
+        js = passing[orientation]
+        if js and _invariance_holds(formulas, seeds, trials, rng_seed, conv,
+                                    len(candidates) * i + js[0] + 1):
+            survivors.extend(Calibration(conv, candidates[j]) for j in js)
     return CalibrationReport(
         survivors=survivors,
-        configurations=config_index,
+        configurations=len(conventions) * len(candidates),
         trials=trials,
         insufficient_evidence=trials == 0,
     )

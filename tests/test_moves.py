@@ -36,6 +36,7 @@ from curveinv.patterns import Formula
 from curveinv.registry import builtin_formulas, default_fuzz_seeds
 from helpers import (
     TRIPLE_TABLE,
+    random_arrow_diagram,
     reverse_arrows,
     rotate_arrows,
     scan_triple_sites,
@@ -130,11 +131,21 @@ def oracle_seed_set():
         yield apply_move(base, s)
 
 
+def random_small_diagrams(count=300):
+    """Diagrams of 1-7 arrows with mixed directions and signs."""
+    rng = random.Random(2024)
+    while count:
+        d = random_arrow_diagram(rng, max_n=7)
+        if d.n:
+            count -= 1
+            yield d
+
+
 def test_triple_site_enumeration_matches_exhaustive_scan():
     # Dual route: the engine enumerates from chord adjacency, the helper
     # scans every pairwise-joined slot triple with its own copy of the shape
     # table. R3 and nR3 split those triples between them.
-    for d in [*oracle_seed_set(), walked_large()]:
+    for d in [*oracle_seed_set(), walked_large(), *random_small_diagrams()]:
         r3 = {s.data for s in find_sites(d, MoveKind.R3)}
         nr3 = {s.data for s in find_sites(d, MoveKind.NR3)}
         text = serialize_diagram(d)
@@ -422,6 +433,23 @@ def test_fuzz_violation_log_is_replayable(formulas, conv):
     assert evaluate_all(formulas, seed, conv) == v.before
     end = replay(seed, v.log)
     assert evaluate_all(formulas, end, conv) == v.after
+
+
+def test_fuzz_reads_seeds_once_and_a_zero_cap_keeps_all(formulas, conv):
+    # A small dR2 run with several violations: an iterator of seeds gives
+    # the list's report, and a cap of 0 means no cap, as None does.
+    kinds = INVARIANCE_KINDS + (MoveKind.DR2_INSERT, MoveKind.DR2_DELETE)
+    seeds = default_fuzz_seeds()[:4]
+
+    def run(seeds, cap):
+        return fuzz_invariance(formulas, seeds, trials=10, depth=6,
+                               rng_seed=2, convention=conv, kinds=kinds,
+                               max_violations=cap)
+
+    report = run(seeds, None)
+    assert len(report.violations) > 1
+    assert run(seeds, 0) == report
+    assert run(iter(seeds), None) == report
 
 
 def test_fuzz_violations_match_per_diagram_evaluation(formulas, conv):

@@ -124,8 +124,18 @@ def test_calibration_config_round_trip():
 
 
 def test_calibrate_rejects_empty_seeds():
-    with pytest.raises(ValueError):
-        calibrate([], trials=10, rng_seed=0)
+    for seeds in ([], iter([])):
+        with pytest.raises(ValueError, match="seeds must be nonempty"):
+            calibrate(seeds, trials=10, rng_seed=0)
+
+
+def test_calibrate_reads_an_iterator_of_seeds_once():
+    # Every convention walks every seed, so an iterator must not be used
+    # up by the first one.
+    seeds = default_fuzz_seeds()
+    report = calibrate(iter(seeds), trials=20, rng_seed="0")
+    assert report == calibrate(seeds, trials=20, rng_seed="0")
+    assert len(report.survivors) == 8
 
 
 def test_calibrate_rejects_negative_trials():

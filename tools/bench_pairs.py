@@ -19,7 +19,9 @@ bounds are the end-to-end metrics of BENCHMARK.json in the change's tree.
 Both sides of a pair see the same seed, so every trajectory file uses the
 same seeds and records them. Per metric the file holds each side's median and quartiles,
 the relative change of the medians, the pairs the change wins (ties count
-for neither side) and every pair's two readings.
+for neither side) and every pair's two readings. The file also records
+each tree's line total of src/curveinv/*.py (as `wc -l` counts it), so the
+size of the code sits beside its speed.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ def extract(rev: str, into: Path) -> str:
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/curveinv/*.py, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in tree.glob("src/curveinv/*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -193,6 +201,7 @@ def main(argv=None) -> int:
             if unknown:
                 p.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
             names = chosen
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         workloads = {
             name: run_workload(trees, name, spec["end_to_end"], args.pairs,
                                args.seconds)
@@ -212,6 +221,7 @@ def main(argv=None) -> int:
         "quartiles": "statistics.quantiles(method=inclusive)",
         "wins": "pairs in which the change is better on the metric",
         "machine": machine(),
+        "src_lines": lines,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
