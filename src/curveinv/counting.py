@@ -18,21 +18,20 @@ for i < j the relation of i to j is SEQ, CROSS or NEST as hi_i lies in
 (0, lo_j), (lo_j, hi_j) or (hi_j, 2n+1). A term's roles 2..k are realized
 as index tuples: every item for k = 2, else the pair list of the roles-2/3
 relation joined with the pair list of each next consecutive relation and
-filtered by the others. Role 1 enters through a prefix-sum table F[j, y]
-(its filter summed over items i < j with hi_i < y): two lookups per tuple,
-at the tuple endpoints next to role 1's hi in the pattern. Tables take
-O(n^2) time and memory, joins time linear in the tuples they build. Joins
-run depth first on at most _BLOCK + n candidates at a time, so memory
+filtered by the others. Role 1 enters through a prefix-sum table F[j, r]
+(its filter summed over items i < j whose hi has rank below r among the
+his): two lookups per tuple, at the tuple endpoints next to role 1's hi in
+the pattern. Tables take O(n^2) time and memory, joins time linear in the
+tuples they build, on at most _BLOCK + n candidates at a time, so memory
 stays O(n^2 + k^2 _BLOCK). Sums are exact (int32 tables, int64 totals).
 
-A batch stacks its diagrams along a leading axis. Each is padded with
-sign-0 items, which fail every role filter, to m = (largest n) + 1 items,
-so one set of tables and one pass per based pattern serve every diagram
-and a pattern larger than a diagram simply finds no tuple there. Tuples
-never mix diagrams and come out diagram-major, so per-diagram totals are
-cut out of one int64 running sum. The tables of a batch take O(B m^2)
-memory; _evaluate splits its input in order into batches of at most
-_BATCH_ELEMENTS padded relation codes (a larger diagram goes alone).
+A batch stacks its diagrams along a leading axis, each padded with sign-0
+items, which fail every role filter, to m = (largest n) + 1 items: one set
+of tables and one pass per based pattern serve every diagram, and tuples
+come out diagram-major, so per-diagram totals are cut out of one int64
+running sum. The tables of a batch take O(B m^2) memory; _evaluate splits
+its input in order into batches of at most _BATCH_ELEMENTS padded relation
+codes (a larger diagram goes alone).
 
 An independent brute-force oracle in oracle.py shares no code with this.
 """
@@ -69,20 +68,11 @@ class KindMismatchError(TypeError):
     """Pattern kind does not fit the diagram or counting routine."""
 
 
-def _relation(lo1: int, hi1: int, lo2: int, hi2: int) -> int:
-    """Relation of two chords with lo1 < lo2 in base-point order."""
-    if hi1 < lo2:
-        return SEQ
-    if hi2 < hi1:
-        return NEST
-    return CROSS
-
-
 def _signature(matching: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Pairwise relation vector of a lo-sorted matching."""
     return tuple(
-        _relation(*matching[i], *matching[j])
-        for i, j in combinations(range(len(matching)), 2)
+        SEQ if hi1 < lo2 else NEST if hi2 < hi1 else CROSS
+        for (lo1, hi1), (lo2, hi2) in combinations(matching, 2)
     )
 
 
@@ -140,26 +130,20 @@ class DiagramTables:
     """Stacked tables of a batch of diagrams for the counting kernel.
 
     The batch is a non-empty sequence of diagrams of any types and sizes;
-    one diagram is a batch of one. Each diagram is padded to m =
-    (largest n) + 1 items: its padding item i is a sign-0 chord at slots
-    (2i+1, 2i+2), after its last slot, so every diagram ends in at least
-    one padding item. Item j of diagram b has global index b*m + j, items
-    in smaller-endpoint order within a diagram, the order both diagram
-    types are stored in. ``codes`` (shape (B*m, m), read as codes[global,
-    local]) holds the relation of j to a later real item l of the same
-    diagram as int8, and -1 elsewhere (on and below the diagonal, and
-    towards padding); ``ends`` the global lo, hi, 0 and TOP = 2m+1 arrays,
-    indexed by LO, HI, BOTTOM and TOP. Role filters, the int32 prefix-sum
-    tables F of shape (B*m, 2m+2) and each relation's pair list are built
-    on first use and kept. Row b*m + j of F sums diagram b's items before
-    j, so a diagram's last (padding) item is left out of its own table and
-    a global index is its table row. F is exact in int32 because a filter
-    is 0 or +-1 per item, so |F| <= m. Padding fails every role filter
-    (the unweighted filter is sign != 0), so it never counts. Items keep
-    their direction (chords point forward) for arrow patterns. Given an
-    arrow rule, the tables read arrows as chords: each arrow item whose
-    direction the rule negates has its sign negated, as arrows_to_chords
-    does, and chord items are left as they are. Memory is O(B*m^2).
+    one diagram is a batch of one. Each is padded to m = (largest n) + 1
+    items with sign-0 chords at slots (2i+1, 2i+2) after its last slot, so
+    it ends in a padding item. Item j of diagram b has global index b*m + j,
+    in smaller-endpoint order. codes[b*m + j, l] (int8) is the relation of
+    j to a later real item l of the diagram, else -1. ends[LO], ends[HI],
+    ends[BOTTOM] and ends[TOP] hold per global item the hi ranks of its lo
+    and hi, 0 and m, where the hi rank of an endpoint is the number of its
+    diagram's items, padding included, whose hi lies below it. Role
+    filters, role-1 prefix tables (_prefix) and each relation's pair list
+    are built on first use and kept. Padding fails every role filter (the
+    unweighted filter is sign != 0), so it never counts. Items keep their
+    direction (chords point forward) for arrow patterns; given an arrow
+    rule, each arrow whose direction the rule negates has its sign negated,
+    as arrows_to_chords does. Memory is O(B*m^2).
     """
 
     def __init__(self, diagrams, rule: ArrowRule | None = None):
@@ -170,29 +154,33 @@ class DiagramTables:
         for b, d in enumerate(diagrams):
             if d.n:
                 items[b, :d.n] = _items(d)
+        # Diagram b's slots read shifted by 2bm: one order for the batch.
+        items[:, :, :2] += np.arange(0, 2 * m * batch, 2 * m).reshape(-1, 1, 1)
         tail, head, self.signs = items.reshape(batch * m, 3).T
         self.forward = tail < head
         if rule is not None:
-            arrows = np.repeat(
-                [isinstance(d, ArrowDiagram) for d in diagrams], m
-            )
-            flip = rule.negates(self.forward) & arrows
+            arrows = [isinstance(d, ArrowDiagram) for d in diagrams]
+            flip = rule.negates(self.forward) & np.repeat(arrows, m)
             self.signs = np.where(flip, -self.signs, self.signs)
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         hi_j, hi_l = hi.reshape(batch, m, 1), hi.reshape(batch, 1, m)
         lo_j, lo_l = lo.reshape(batch, m, 1), lo.reshape(batch, 1, m)
-        sizes = np.array([d.n for d in diagrams]).reshape(batch, 1, 1)
         codes = np.add(hi_l > hi_j, NEST, dtype=np.int8)  # or CROSS
         codes *= hi_j > lo_l  # else SEQ
-        # -1 on and below the diagonal and towards padding.
+        # -1 on and below the diagonal and towards sign-0 (padding) items.
         codes += 1
-        codes *= (lo_j < lo_l) & (np.arange(m) < sizes)
+        codes *= (lo_j < lo_l) & (self.signs.reshape(batch, 1, m) != 0)
         codes -= 1
         self.codes = codes.reshape(batch * m, m)
         self.items = np.arange(batch * m)
         # Each diagram's first global index, and the end of the batch.
         self._firsts = np.arange(0, batch * m + 1, m)
-        self.ends = (lo, hi, np.zeros_like(lo), np.full_like(hi, 2 * m + 1))
+        # Hi ranks of lo and hi: a global rank less the diagram's first index.
+        his, firsts = np.sort(hi), self._firsts[:-1].repeat(m)
+        self.ends = ends = np.zeros((4, batch * m), dtype=np.intp)
+        ends[LO] = his.searchsorted(lo) - firsts
+        ends[HI] = his.searchsorted(hi) - firsts
+        ends[TOP] = m
         self._roles: dict[tuple, np.ndarray] = {}
         self._prefixes: dict[tuple, np.ndarray] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -213,20 +201,24 @@ class DiagramTables:
         return u
 
     def _prefix(self, weighted: bool, role: tuple[int, bool | None]):
-        """F[b*m + j, y]: the role's filter summed over diagram b's items
-        i < j with hi_i < y."""
+        """The int32 table F of shape (B*m, m + 1): F[b*m + j, r] is the
+        role's filter summed over diagram b's items i < j of hi rank below
+        r. A diagram's last item is padding, so leaving it out of its own
+        rows makes a global index its table row; |F| <= m fits int32."""
         key = (weighted, role)
         table = self._prefixes.get(key)
         if table is None:
-            width = 2 * self.m + 2
-            table = np.zeros((self.batch * self.m, width), dtype=np.int32)
-            # A diagram's last item lands in the next one's row 0; it is
-            # padding, so it adds 0 there.
-            cells = (self.items[1:] * width + self.ends[HI][:-1] + 1)
-            table.ravel()[cells] = self._role(weighted, role)[:-1]
-            stacked = table.reshape(self.batch, self.m, width)
-            np.cumsum(stacked, axis=1, out=stacked)
-            np.cumsum(table, axis=1, out=table)
+            m = self.m
+            table = np.zeros((self.batch * m, m + 1), dtype=np.int32)
+            # Item i fills row i + 1 from column rank_i + 1 on; a diagram's
+            # last item, padding, adds 0 to the next diagram's row 0.
+            np.multiply(
+                np.arange(m + 1) > self.ends[HI][:-1, None],
+                self._role(weighted, role)[:-1, None],
+                out=table[1:],
+            )
+            stacked = table.reshape(self.batch, m, m + 1)
+            stacked.cumsum(axis=1, out=stacked)
             self._prefixes[key] = table
         return table
 
@@ -235,7 +227,7 @@ class DiagramTables:
         in relation r, diagram-major then j-major."""
         pairs = self._pairs.get(r)
         if pairs is None:
-            at = np.flatnonzero(self.codes == r)
+            at = (self.codes == r).ravel().nonzero()[0]
             rows = at // self.m
             # l's local index plus its diagram's first global index.
             first = rows - rows % self.m

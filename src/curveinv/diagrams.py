@@ -11,13 +11,19 @@ equal diagrams compare equal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count, islice
 from typing import NamedTuple
 
-from .patterns import EvalMode, ParseError, _Cursor
+from .patterns import _INT_RE, _SPACES_RE, EvalMode, ParseError, _Cursor
+
+# One diagram item and the spaces after it, from the cursor's own tokens.
+_ITEM_RE = re.compile(
+    f"({_INT_RE.pattern})([->])({_INT_RE.pattern}):([+-]){_SPACES_RE.pattern}"
+)
 
 
 class Orientation(Enum):
@@ -208,23 +214,25 @@ def parse_diagram(text: str, line: int = 1) -> Diagram:
     sep = "-" if kind == "chords" else ">"
     items: list[tuple[int, int, int]] = []
     cur.skip_ws()
-    while not cur.at_end():
+    while m := _ITEM_RE.match(cur.text, cur.i):
+        a, b = int(m[1]), int(m[3])
+        if m[2] != sep or a == b:
+            break
+        items.append((a, b, 1 if m[4] == "+" else -1))
+        cur.i = m.end()
+    if not cur.at_end():
+        # An item the pattern refused: the cursor's steps raise at its
+        # error, or it is well formed and its endpoints are equal.
         a = cur.eat_int("expected slot number")
         cur.eat(sep, f"expected {sep!r} between endpoints")
         col = cur.i + 1
-        b = cur.eat_int("expected slot number")
+        cur.eat_int("expected slot number")
         cur.eat(":", "expected ':' before sign")
-        s = cur.eat_sign()
-        if a == b:
-            raise ParseError(f"chord endpoints equal at slot {a}", line, col)
-        items.append((a, b, s))
-        cur.skip_ws()
+        cur.eat_sign()
+        raise ParseError(f"chord endpoints equal at slot {a}", line, col)
 
-    d: Diagram
-    if kind == "chords":
-        d = SignedChordDiagram(n=n, chords=tuple(items))
-    else:
-        d = ArrowDiagram(n=n, arrows=tuple(items))
+    kind_type = SignedChordDiagram if kind == "chords" else ArrowDiagram
+    d = kind_type(n, tuple(items))
     problems = validate(d)
     if problems:
         raise InvalidDiagramError(problems)

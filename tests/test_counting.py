@@ -464,6 +464,21 @@ def test_degree_five_count_grows_tuples_in_blocks(conv):
     assert peak < 32 * 2**20
 
 
+def test_prefix_tables_take_one_column_per_item(formulas, conv):
+    # Role-1 tables have m + 1 columns (hi ranks), not 2m + 2 (slots): the
+    # six builtins peak near 33 m^2 traced bytes, slot-wide tables near 45.
+    d = gen_torus(401).diagram
+    m = d.n + 1
+    tracemalloc.start()
+    try:
+        got = evaluate_all(formulas, d, conv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (200, -200, 0, 0, 0, -200)
+    assert peak < 40 * m * m
+
+
 def test_thousand_chord_evaluation(formulas, conv):
     cd = gen_cabc(0, 250, 250)
     assert cd.diagram.n == 1000

@@ -131,6 +131,17 @@ PARSE_ERRORS = [
     ("chords; n=1; 1-2:x", 1, 18, "expected sign '+' or '-'"),
     ("chords; n=1; 1-1:+", 1, 16, "chord endpoints equal at slot 1"),
     ("arrows; n=2; 1>3:+ 4>4:-", 9, 22, "chord endpoints equal at slot 4"),
+    # Items after one that reads whole: the error keeps its position.
+    ("arrows; n=2; 1>3:+\t2>4:+", 1, 19, "expected slot number"),
+    ("arrows; n=2; 1 >3:+ 2>4:+", 1, 15, "expected '>' between endpoints"),
+    ("arrows; n=2; 1>3: + 2>4:+", 1, 18, "expected sign '+' or '-'"),
+    ("arrows; n=2; 1>3:+x", 1, 19, "expected slot number"),
+    ("arrows; n=2; １>3:+ 2>4:+", 1, 14, "expected slot number"),
+    ("arrows; n=2; 1>3:+ 2>²:+", 1, 22, "expected slot number"),
+    ("arrows; n=3; 1>4:+ 2>5:+ 3>3:+", 1, 28, "chord endpoints equal at slot 3"),
+    ("arrows; n=2; 3>03:+", 1, 16, "chord endpoints equal at slot 3"),
+    ("arrows; n=2; 1>3:+ 2-4:+", 1, 21, "expected '>' between endpoints"),
+    ("chords; n=2; 1-3:+ 2>4:+", 1, 21, "expected '-' between endpoints"),
 ]
 
 
