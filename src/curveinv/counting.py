@@ -6,10 +6,11 @@ A single diagram is a batch of one; evaluate_many and the move-invariance
 loops pass many. Formulas are compiled once per orientation and eval mode
 (memoized per formula tuple) into their distinct based patterns and an
 integer coefficient map, so a pattern that several terms share is counted
-once per batch. Arrow patterns ignore the base point: their count sums
-the based counts of the pattern's rotations (by inclusion-exclusion where
-rotations of one configuration differ only in sign constraints), which
-the compiled plan lists as based patterns of their own.
+once per batch; each based pattern is a Term of the roles, steps and
+ends the kernel reads. Arrow patterns ignore the base point: their count
+sums the based counts of the pattern's rotations (by inclusion-exclusion
+where rotations of one configuration differ only in sign constraints),
+which the compiled plan lists as based patterns of their own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
 (chords, or arrows read as chords: the tables negate the signs of arrows
@@ -84,18 +85,17 @@ LO, HI, BOTTOM, TOP = 0, 1, 2, 3
 
 
 class Term(NamedTuple):
-    """A based pattern compiled for counting.
+    """A based pattern compiled to the fields DiagramTables.count reads.
 
-    ``signature`` is the pairwise relation vector of the roles (the pattern
-    chords in lo-order); ``roles`` holds per role its sign constraint and,
-    for arrow patterns, whether it points forward (else None). The kernel
-    holds roles 2..k at tuple positions 0..k-2: ``steps`` lists per m >= 1
-    the relation of m-1 to m and the (position, relation) pairs of 0..m-2
-    to m; ``ends`` the (position, LO or HI) endpoints next to role 1's hi
-    in the pattern, (0, BOTTOM) or (0, TOP) if none.
+    ``roles`` holds per role (the pattern chords in lo-order) its sign
+    constraint and, for arrow patterns, whether it points forward (else
+    None). The kernel holds roles 2..k at tuple positions 0..k-2: ``steps``
+    lists per m >= 1 the relation of m-1 to m and the (position, relation)
+    pairs of 0..m-2 to m; ``ends`` the (position, LO or HI) endpoints next
+    to role 1's hi in the pattern, (0, BOTTOM) or (0, TOP) if none. Steps
+    and ends determine the pattern's matching.
     """
 
-    signature: tuple[int, ...]
     roles: tuple[tuple[int, bool | None], ...]
     steps: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     ends: tuple[tuple[int, int], tuple[int, int]]
@@ -104,25 +104,20 @@ class Term(NamedTuple):
 def _term(p: Pattern) -> Term:
     matching = tuple((min(a, b), max(a, b)) for a, b, _ in p.chords)
     arrow = p.kind is PatternKind.ARROW
-    signature = _signature(matching)
     # Relations among roles 2..k, keyed by tuple position.
-    rel = dict(zip(combinations(range(p.k - 1), 2), signature[p.k - 1:]))
+    rel = dict(zip(combinations(range(p.k - 1), 2), _signature(matching[1:])))
+    # The endpoint at each slot: role 1's lo is slot 1, past the last is top.
+    at = {1: (0, BOTTOM), 2 * p.k + 1: (0, TOP)}
+    for q, chord in enumerate(matching[1:]):
+        at.update(zip(chord, ((q, LO), (q, HI))))
     hi1 = matching[0][1]
-    slots = [(0, (0, BOTTOM)), (2 * p.k + 1, (0, TOP))] + [
-        (x, (q, side))
-        for q, chord in enumerate(matching[1:])
-        for x, side in zip(chord, (LO, HI))
-    ]
-    below = max(s for s in slots if s[0] < hi1)[1]
-    above = min(s for s in slots if s[0] > hi1)[1]
     return Term(
-        signature,
         tuple((c, a < b if arrow else None) for a, b, c in p.chords),
         tuple(
             (rel[m - 1, m], tuple((i, rel[i, m]) for i in range(m - 1)))
             for m in range(1, p.k - 1)
         ),
-        (below, above),
+        (at[hi1 - 1], at[hi1 + 1]),
     )
 
 
@@ -266,8 +261,8 @@ class DiagramTables:
         """Per-diagram sums over index tuples i1<i2<...<ik realizing the
         based pattern, as an int64 array of one total per diagram.
 
-        A tuple realizes the term when its pairwise relations equal the
-        term's signature and each item passes its role's filter (sign
+        A tuple realizes the term when its pairwise relations are the
+        pattern's and each item passes its role's filter (sign
         constraint and, for arrow patterns, direction). It weighs the
         product of its signs when weighted, else 1. Relations among roles
         2..k fix their endpoint order, so an item before role 2 fits role 1
@@ -344,10 +339,10 @@ def _based_counts(
     by_shape: dict[tuple, list[Term]] = {}
     for rot in _rotations(p):
         t = _term(rot)
-        shape = (t.signature, tuple(forward for _, forward in t.roles))
-        by_shape.setdefault(shape, []).append(t)
+        dirs = tuple(forward for _, forward in t.roles)
+        by_shape.setdefault((t.steps, t.ends, dirs), []).append(t)
     out = []
-    for (_, dirs), terms in by_shape.items():
+    for (*_, dirs), terms in by_shape.items():
         for r in range(1, len(terms) + 1):
             for chosen in combinations(terms, r):
                 meet = _meet(tuple(c for c, _ in t.roles) for t in chosen)

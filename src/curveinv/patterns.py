@@ -79,16 +79,6 @@ class Formula:
     name: str
     terms: tuple[tuple[int, Pattern], ...]
 
-    def __post_init__(self):
-        # Each evaluation hashes its formulas to find their compiled plan.
-        object.__setattr__(self, "_hash", hash((self.name, self.terms)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):  # rehash: string hashes differ between processes
-        return Formula, (self.name, self.terms)
-
     @property
     def kind(self) -> PatternKind:
         return self.terms[0][1].kind

@@ -61,9 +61,9 @@ def _data(name: str) -> str:
 
 def parse_formula_file(text: str) -> list[Formula]:
     """Parse a formula file: one formula per line, blank and # lines
-    skipped. Parse errors carry the line number within the file."""
+    skipped. Parse errors carry the line and column within the file."""
     formulas = [
-        parse_formula(line.strip(), line=lineno)
+        parse_formula(line, line=lineno)
         for lineno, line in iter_diagram_records(text)
     ]
     if not formulas:

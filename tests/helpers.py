@@ -8,6 +8,20 @@ import random
 from curveinv import ArrowDiagram, SignedChordDiagram
 
 
+def perfect_matchings(k):
+    """Every perfect matching of slots 1..2k, as (a, b) pairs with a < b."""
+    if k == 0:
+        return [()]
+    out = []
+    for m in perfect_matchings(k - 1):
+        # Insert a new chord 1-b and shift the rest: every matching of
+        # 1..2k arises once, from the matching of the remaining slots.
+        for b in range(2, 2 * k + 1):
+            rest = [x for x in range(2, 2 * k + 1) if x != b]
+            out.append(((1, b),) + tuple((rest[a - 1], rest[c - 1]) for a, c in m))
+    return out
+
+
 def random_chord_diagram(rng: random.Random, max_n: int = 8) -> SignedChordDiagram:
     n = rng.randint(0, max_n)
     slots = list(range(1, 2 * n + 1))

@@ -323,6 +323,25 @@ def test_negative_counts_rejected(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (("fuzz", "--kinds", ","), "", "empty move-kind list"),
+        (("fuzz", "--seeds", "FILE"), "chords; n=1; 1-2:+\n",
+         "line 1: fuzz seeds must be arrow diagrams"),
+        (("fuzz", "--seeds", "FILE"), "# no seeds\n",
+         "seed file holds no diagrams"),
+        (("replay", "--code", "chords; n=1; 1-2:+", "--log", "FILE"), "",
+         "replay operates on arrow diagrams"),
+    ],
+)
+def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_calibrate_registry_file_with_comments_matches_builtin(capsys):
     from importlib import resources
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -43,7 +44,12 @@ from curveinv.counting import (
     evaluate_with_convention,
 )
 from curveinv.oracle import count_arrow_pattern_oracle, count_embeddings_oracle
-from helpers import random_arrow_diagram, random_chord_diagram, rotate_arrows
+from helpers import (
+    perfect_matchings,
+    random_arrow_diagram,
+    random_chord_diagram,
+    rotate_arrows,
+)
 
 ALL_INTERLEAVED_3 = parse_diagram("chords; n=3; 1-4:+ 2-5:+ 3-6:+")
 CROSSED = parse_pattern("[1-3,2-4]")
@@ -287,20 +293,6 @@ def test_four_chord_counts_match_oracle_on_random_diagrams():
             assert count_arrow_pattern(p, a) == count_arrow_pattern_oracle(p, a)
 
 
-def _matchings(k):
-    """Every perfect matching of slots 1..2k, as (a, b) pairs with a < b."""
-    if k == 0:
-        return [()]
-    out = []
-    for m in _matchings(k - 1):
-        # Insert a new chord 1-b and shift the rest: every matching of
-        # 1..2k arises once, from the matching of the remaining slots.
-        for b in range(2, 2 * k + 1):
-            rest = [x for x in range(2, 2 * k + 1) if x != b]
-            out.append(((1, b),) + tuple((rest[a - 1], rest[c - 1]) for a, c in m))
-    return out
-
-
 def _kernel_diagrams(rng, arrows=False):
     """Random diagrams of sizes below, at and above every degree (so some
     pairs meet empty intervals and some patterns do not fit at all), then
@@ -310,7 +302,7 @@ def _kernel_diagrams(rng, arrows=False):
         slots = list(range(1, 2 * n + 1))
         rng.shuffle(slots)
         shapes.append([(slots[2 * i], slots[2 * i + 1]) for i in range(n)])
-    shapes.extend(_matchings(3))
+    shapes.extend(perfect_matchings(3))
     out = []
     for shape in shapes:
         items = tuple(
@@ -326,8 +318,8 @@ def _kernel_diagrams(rng, arrows=False):
 
 
 def test_matching_enumeration_is_complete():
-    assert [len(_matchings(k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 15, 105, 945]
-    assert len(set(_matchings(5))) == 945
+    assert [len(perfect_matchings(k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 15, 105, 945]
+    assert len(set(perfect_matchings(5))) == 945
 
 
 def test_kernel_matches_oracle_on_every_signed_chord_pattern():
@@ -338,7 +330,7 @@ def test_kernel_matches_oracle_on_every_signed_chord_pattern():
             (a, b, c) for (a, b), c in zip(m, signs)
         ))
         for k in (1, 2, 3)
-        for m in _matchings(k)
+        for m in perfect_matchings(k)
         for signs in itertools.product((ANY, 1, -1), repeat=k)
     ]
     assert len(patterns) == 3 + 3 * 9 + 15 * 27
@@ -363,7 +355,7 @@ def test_kernel_matches_oracle_on_every_directed_arrow_pattern():
     diagrams = _kernel_diagrams(rng, arrows=True)
     patterns = []
     for k in (1, 2, 3):
-        for m in _matchings(k):
+        for m in perfect_matchings(k):
             for flips in itertools.product((False, True), repeat=k):
                 chords = tuple(
                     (b, a, rng.choice((ANY, ANY, 1, -1))) if flip else (a, b, ANY)
@@ -392,7 +384,7 @@ def _with_signs(rng, m, kind, constraints):
 @pytest.mark.parametrize("k,sample", [(4, None), (5, 100)])
 def test_kernel_matches_oracle_on_four_and_five_chord_matchings(k, sample):
     rng = random.Random(409 + k)
-    matchings = _matchings(k)
+    matchings = perfect_matchings(k)
     if sample:
         matchings = rng.sample(matchings, sample)
     chord_diagrams = _kernel_diagrams(rng)
@@ -427,8 +419,37 @@ def test_kernel_matches_oracle_on_four_and_five_chord_matchings(k, sample):
 def test_relation_vector_determines_the_matching():
     # The kernel identifies a configuration by its pairwise relations.
     for k in range(1, 6):
-        matchings = _matchings(k)
+        matchings = perfect_matchings(k)
         assert len({_signature(m) for m in matchings}) == len(matchings)
+
+
+def test_steps_and_ends_determine_the_matching():
+    # _based_counts tells rotations of an arrow pattern apart by them.
+    total = 0
+    for k in range(1, 6):
+        matchings = perfect_matchings(k)
+        terms = [
+            counting._term(Pattern(k=k, kind=PatternKind.CHORD, chords=tuple(
+                (a, b, ANY) for a, b in m
+            )))
+            for m in matchings
+        ]
+        assert len({(t.steps, t.ends) for t in terms}) == len(matchings)
+        total += len(matchings)
+    assert total == 1069
+
+
+def test_rotations_that_meet_no_sign_vector_add_no_overlap_term():
+    # Rotating [1>2:+,3>4:-] by two slots gives [1>2:-,3>4:+]: the same
+    # shape with constraints no arrow pair meets, so its count is the plain
+    # sum of the four rotations' based counts.
+    p = parse_pattern("[1>2:+,3>4:-]")
+    assert counting._meet(((1, -1), (-1, 1))) is None
+    assert [m for _, m in counting._based_counts(p, None)] == [1, 1, 1, 1]
+    rng = random.Random(431)
+    for _ in range(300):
+        d = random_arrow_diagram(rng)
+        assert count_arrow_pattern(p, d) == count_arrow_pattern_oracle(p, d), d
 
 
 @pytest.mark.parametrize("k,n,expected", [(4, 201, 65998350), (5, 61, 5949147)])
@@ -561,7 +582,7 @@ def test_batched_four_and_five_chord_counts_match_oracle():
     rng = random.Random(430)
     patterns = [
         _with_signs(rng, m, PatternKind.CHORD, (ANY, 1, -1))
-        for k in (4, 5) for m in rng.sample(_matchings(k), 6)
+        for k in (4, 5) for m in rng.sample(perfect_matchings(k), 6)
     ]
     ds = _kernel_diagrams(rng)[:10] + [
         SignedChordDiagram(p.k, tuple(
@@ -581,7 +602,7 @@ def test_batched_four_and_five_chord_counts_match_oracle():
         assert evaluate_many(fs, ds, conv) == want
     arrow_patterns = [
         _with_signs(rng, m, PatternKind.ARROW, (ANY, ANY, 1, -1))
-        for m in rng.sample(_matchings(4), 6)
+        for m in rng.sample(perfect_matchings(4), 6)
     ]
     arrows = [d for d in _kernel_diagrams(rng, arrows=True) if d.n < 7]
     arrow_formulas = tuple(
@@ -621,12 +642,25 @@ def test_evaluate_many_splits_input_by_element_budget(
     assert values == [evaluate_all(formulas, d, conv) for d in ds]
 
 
+def test_formulas_pickle_to_values_that_find_their_plan(formulas, conv):
+    # The plan cache is keyed by the formulas' value hash, which is
+    # computed afresh in each process, never stored with the value.
+    key = (conv.orientation, conv.eval_mode)
+    counting._plan(formulas, *key)
+    back = pickle.loads(pickle.dumps(formulas))
+    assert back == formulas and back is not formulas
+    assert [hash(f) for f in back] == [hash(f) for f in formulas]
+    hits = counting._plan.cache_info().hits
+    counting._plan(back, *key)
+    assert counting._plan.cache_info().hits == hits + 1
+
+
 def test_counting_a_pattern_again_compiles_nothing(monkeypatch):
     patterns = [
         Pattern(k=3, kind=PatternKind.CHORD, chords=tuple(
             (a, b, c) for (a, b), c in zip(m, signs)
         ))
-        for m in _matchings(3)
+        for m in perfect_matchings(3)
         for signs in itertools.product((ANY, 1, -1), repeat=3)
     ]
     assert len(patterns) == 405

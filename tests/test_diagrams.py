@@ -43,6 +43,17 @@ def test_validate_reports_out_of_range_slot():
     assert validate(d) != []
 
 
+@pytest.mark.parametrize("d,violations", [
+    (SignedChordDiagram(n=-1), ["negative chord count -1"]),
+    (ArrowDiagram(n=1, arrows=((2, 2, 1),)),
+     ["arrow 0: endpoints equal at slot 2", "slot 2 reused", "slot 1 unused"]),
+    (SignedChordDiagram(n=1, chords=((1, 2, 0),)), ["chord 0: bad sign 0"]),
+])
+def test_validate_reports_each_broken_field(d, violations):
+    # Parsed records never reach these: the parser refuses them first.
+    assert validate(d) == violations
+
+
 def test_parse_chord_diagram():
     d = parse_diagram("chords; n=3; 1-4:+ 2-5:+ 3-6:-")
     assert isinstance(d, SignedChordDiagram)

@@ -319,6 +319,9 @@ def test_stale_sites_rejected():
         apply_move(tor, MoveSite(MoveKind.IR2_DELETE, (1,)))
     with pytest.raises(StaleSiteError):
         apply_move(tor, MoveSite(MoveKind.IR2_INSERT, (99, 99, "up")))
+    for arcs in ((99, 99), (3, 2), (-1, 0)):
+        with pytest.raises(StaleSiteError, match="arcs out of range"):
+            apply_move(tor, MoveSite(MoveKind.IR2_INSERT, (*arcs, Variant.UP)))
     # Malformed data is a stale site for every kind, never a raw
     # ValueError or TypeError, and True is not slot 1.
     malformed = [
@@ -369,7 +372,8 @@ def test_random_site_draws_from_found_sites():
         for _ in range(50):
             site = picker(d, rng)
             assert (site.kind, site.data) in legal
-    assert random_site(EMPTY, rng, kinds=(MoveKind.IR2_DELETE,)) is None
+    for picker in (random_site, random_site_balanced):
+        assert picker(EMPTY, rng, kinds=(MoveKind.IR2_DELETE,)) is None
 
 
 def test_replay_applies_logged_moves():

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveinv import (
     ANY,
+    Formula,
     ParseError,
     Pattern,
     PatternKind,
@@ -74,6 +75,23 @@ def test_parse_errors_at_end_of_input(text, col, message):
     assert (info.value.col, info.value.message) == (col, message)
 
 
+@pytest.mark.parametrize(
+    "parse,text,col,message",
+    [
+        (parse_pattern, "[1-2,3>4]", 8,
+         "mixed chord and arrow items in one pattern"),
+        (parse_pattern, "[1-2] x", 7, "trailing input after pattern"),
+        (parse_formula, "X := [1-2] [3-4]", 12,
+         "expected sign '+' or '-' before term"),
+        (parse_formula, "X :=  ", 7, "formula has no terms"),
+    ],
+)
+def test_parse_error_messages(parse, text, col, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.col, info.value.message) == (col, message)
+
+
 def test_chord_endpoints_canonicalized():
     p = Pattern(k=2, kind=PatternKind.CHORD, chords=((4, 2, 1), (3, 1, ANY)))
     assert p.chords == ((1, 3, ANY), (2, 4, 1))
@@ -123,6 +141,28 @@ def test_parse_formula_name_is_ascii():
 def test_serialize_unit_coefficients_as_bare_signs():
     f = parse_formula("X := -1[1-3,2-4]")
     assert serialize_formula(f) == "X := -[1-3,2-4]"
+
+
+CHORD_1 = parse_pattern("[1-2]")
+
+
+@pytest.mark.parametrize(
+    "terms,name,message",
+    [
+        (((1, Pattern(2, PatternKind.CHORD, ((1, 2, ANY),))),), "X",
+         "invalid pattern: expected 2 chords, found 1; slot 3 unused;"
+         " slot 4 unused"),
+        (((1, CHORD_1),), "", "formula name must be nonempty"),
+        ((), "X", "formula must have at least one term"),
+        (((1, CHORD_1), (1, parse_pattern("[2>1]"))), "X",
+         "mixed chord and arrow patterns in one formula"),
+        (((0, CHORD_1),), "X", "zero coefficient"),
+    ],
+)
+def test_serialize_refuses_invalid_formulas(terms, name, message):
+    with pytest.raises(ValueError) as info:
+        serialize_formula(Formula(name, terms))
+    assert str(info.value) == message
 
 
 def test_serialize_is_canonical_fixed_point():

@@ -1,5 +1,6 @@
 import functools
 import importlib.resources as resources
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from curveinv import (
     Formula,
     Orientation,
     PatternKind,
+    SignedChordDiagram,
     arrows_to_chords,
     builtin_chord_patterns,
     builtin_formula,
@@ -28,12 +30,14 @@ from curveinv import (
     gen_cabc,
     gen_torus,
     parse_calibration,
+    parse_formula,
     random_site_balanced,
     serialize_formula,
     serialize_pattern,
     triangle_candidates,
 )
 from curveinv.moves import walk
+from helpers import perfect_matchings
 
 NAMES = ("I2_1", "I3_1", "I3_2", "I3_3", "I3_4", "I3_5")
 TERM_COUNTS = {"I2_1": 2, "I3_1": 8, "I3_2": 6, "I3_3": 6, "I3_4": 21, "I3_5": 10}
@@ -121,6 +125,18 @@ def test_calibration_config_round_trip():
     cal = frozen_calibration()
     assert parse_calibration(format_calibration(cal)).convention == cal.convention
     assert parse_calibration(format_calibration(cal)).triangle == cal.triangle
+
+
+@pytest.mark.parametrize("text", [
+    "orientation=ccw; arrow_rule=forward_plus; eval_mode=weighted",
+    "orientation=up; arrow_rule=forward_plus; eval_mode=weighted;"
+    " triangle=[1>4,5>2,3>6]",
+    "orientation=ccw; arrow_rule=forward_plus; eval_mode=weighted;"
+    " triangle=[1>4,5>2]",
+])
+def test_parse_calibration_refuses_bad_text(text):
+    with pytest.raises(ValueError, match="bad calibration text"):
+        parse_calibration(text)
 
 
 def test_calibrate_rejects_empty_seeds():
@@ -385,6 +401,45 @@ def test_parse_formula_file_skips_comments_and_keeps_line_numbers():
     assert err.value.line == 3
     with pytest.raises(ValueError, match="holds no formulas"):
         parse_formula_file("# only a comment\n")
+
+
+@pytest.mark.parametrize("text,col,message", [
+    ("    X := +[1-2", 15, "expected ']'"),
+    # Only ASCII spaces pad a record, as in diagram records.
+    ("\u00a0X := +[1-2]", 1, "expected formula name"),
+    ("X := +[1-2]\t", 12, "expected sign '+' or '-' before term"),
+])
+def test_parse_formula_file_reports_file_columns(text, col, message):
+    from curveinv.patterns import ParseError
+    from curveinv.registry import parse_formula_file
+
+    with pytest.raises(ParseError) as err:
+        parse_formula_file("# head\n" + text + "\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert err.value.message == message
+
+
+def test_builtin_relations_hold_on_every_diagram_of_at_most_three_chords(
+    formulas, conv
+):
+    # S, the weighted degree-1 count, is the sum of chord signs. Both sides
+    # of each relation are sums over sub-diagrams of at most 3 chords, so
+    # holding on every such diagram, they hold on all diagrams.
+    diagrams = [
+        SignedChordDiagram(n, tuple(
+            (a, b, s) for (a, b), s in zip(m, signs)
+        ))
+        for n in range(4)
+        for m in perfect_matchings(n)
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+    assert len(diagrams) == 135
+    signs = parse_formula("S := +[1-2]")
+    rows = evaluate_many((signs, *formulas), diagrams, conv)
+    assert {row[0] for row in rows} == set(range(-3, 4))
+    for (s, i2_1, i3_1, _, i3_3, i3_4, i3_5), d in zip(rows, diagrams):
+        assert 6 * i3_4 == s - s**3, d
+        assert i3_1 == s * i2_1 - 2 * i3_3 + 2 * i3_5, d
 
 
 @pytest.mark.parametrize("seed", [gen_cabc(2, 6, 6), gen_cabc(0, 6, 6)])

@@ -20,13 +20,15 @@ Both sides of a pair see the same seed, so every trajectory file uses the
 same seeds and records them. Per metric the file holds each side's median and quartiles,
 the relative change of the medians, the pairs the change wins (ties count
 for neither side) and every pair's two readings. The file also records
-each tree's line total of src/curveinv/*.py (as `wc -l` counts it), so the
-size of the code sits beside its speed.
+each tree's line total of src/curveinv/*.py (as `wc -l` counts it) and its
+code lines (neither blank, nor a comment alone, nor inside a module, class
+or function docstring), so the size of the code sits beside its speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -38,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED_BASE = 1000
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0"
 
 
@@ -65,6 +68,24 @@ def src_lines(tree: Path) -> int:
     """Newlines in the tree's src/curveinv/*.py, as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n")
                for p in tree.glob("src/curveinv/*.py"))
+
+
+def src_code_lines(tree: Path) -> int:
+    """Lines of the tree's src/curveinv/*.py that are not blank, not a
+    comment alone and not inside a module, class or function docstring."""
+    total = 0
+    for path in tree.glob("src/curveinv/*.py"):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node) is not None:
+                doc = node.body[0]
+                docs.update(range(doc.lineno, doc.end_lineno + 1))
+        total += sum(
+            1 for i, line in enumerate(text.splitlines(), 1)
+            if i not in docs and line.strip()[:1] not in ("", "#")
+        )
+    return total
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -202,6 +223,8 @@ def main(argv=None) -> int:
                 p.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
             names = chosen
         lines = {side: src_lines(tree) for side, tree in trees.items()}
+        code_lines = {side: src_code_lines(tree)
+                      for side, tree in trees.items()}
         workloads = {
             name: run_workload(trees, name, spec["end_to_end"], args.pairs,
                                args.seconds)
@@ -222,6 +245,7 @@ def main(argv=None) -> int:
         "wins": "pairs in which the change is better on the metric",
         "machine": machine(),
         "src_lines": lines,
+        "src_code_lines": code_lines,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
