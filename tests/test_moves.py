@@ -315,6 +315,10 @@ def test_stale_sites_rejected():
         apply_move(EMPTY, MoveSite(MoveKind.R3, (1, 3, 5)))
     with pytest.raises(StaleSiteError):
         apply_move(tor, MoveSite(MoveKind.NR3, (1, 3, 5)))  # an R3 site
+    # In order and in range, but the three pairs are not joined.
+    with pytest.raises(StaleSiteError) as info:
+        apply_move(gen_cabc(0, 3, 0).diagram, MoveSite(MoveKind.R3, (1, 3, 5)))
+    assert str(info.value) == "stale triple-point site: R3 1 3 5"
     with pytest.raises(StaleSiteError):
         apply_move(tor, MoveSite(MoveKind.IR2_DELETE, (1,)))
     with pytest.raises(StaleSiteError):

@@ -84,6 +84,7 @@ def test_parse_errors_at_end_of_input(text, col, message):
         (parse_formula, "X := [1-2] [3-4]", 12,
          "expected sign '+' or '-' before term"),
         (parse_formula, "X :=  ", 7, "formula has no terms"),
+        (parse_pattern, "[]", 2, "empty pattern"),
     ],
 )
 def test_parse_error_messages(parse, text, col, message):
@@ -157,6 +158,13 @@ CHORD_1 = parse_pattern("[1-2]")
         (((1, CHORD_1), (1, parse_pattern("[2>1]"))), "X",
          "mixed chord and arrow patterns in one formula"),
         (((0, CHORD_1),), "X", "zero coefficient"),
+        (((1, Pattern(0, PatternKind.CHORD, ())),), "X",
+         "invalid pattern: pattern must have at least one chord"),
+        (((1, Pattern(1, PatternKind.CHORD, ((1, 1, ANY),))),), "X",
+         "invalid pattern: chord endpoints equal at slot 1; slot 1 reused;"
+         " slot 2 unused"),
+        (((1, Pattern(1, PatternKind.CHORD, ((1, 2, 5),))),), "X",
+         "invalid pattern: bad sign constraint 5"),
     ],
 )
 def test_serialize_refuses_invalid_formulas(terms, name, message):

@@ -6,6 +6,7 @@ RNG consumption or report formatting shows up here.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,12 +16,14 @@ from curveinv import (
     apply_move,
     gen_cabc,
     gen_equivalent,
+    gen_torus,
     random_site,
     random_site_balanced,
     serialize_diagram,
 )
 from curveinv.cli import main
 from curveinv.moves import INVARIANCE_KINDS, KIND_ORDER, walk
+from curveinv.registry import FORMULA_NAMES
 
 
 def _digest(text: str) -> str:
@@ -69,6 +72,37 @@ def _cli_stdout(capsys, argv) -> str:
     return capsys.readouterr().out
 
 
+# Stands for a file of one arrow and one chord record in the argv lists.
+RECORDS = object()
+
+
+def _records_text() -> str:
+    return (
+        serialize_diagram(gen_cabc(2, 1, 3).diagram)
+        + "\nchords; n=4; 1-5:+ 2-7:- 3-4:+ 6-8:-\n"
+    )
+
+
+def _flags(orientation, rule, mode) -> list[str]:
+    return ["--orientation", orientation, "--arrow-rule", rule,
+            "--eval-mode", mode]
+
+
+def _eval_under(orientation, rule, mode) -> list[list]:
+    """eval of every builtin and a sign-constrained chord formula on the
+    records, then the triangle as an arrow formula on torus(21)."""
+    flags = _flags(orientation, rule, mode)
+    chord = "C := +[1-4,5-2,3-6] -2[1-2:-]"
+    runs = [
+        ["eval", "--formula", f, *flags, RECORDS]
+        for f in (*FORMULA_NAMES, chord)
+    ]
+    torus = serialize_diagram(gen_torus(21).diagram)
+    runs.append(["eval", "--formula", "T := +[1>4,5>2,3>6]", "--code", torus,
+                 *flags])
+    return runs
+
+
 def test_walk_streams_are_pinned():
     assert _digest(_equivalent_logs()) == (
         "61f5e4ddf6cb318e600adb133a2a78e75ae10509dbe8d2aa045c8f29d926c585"
@@ -105,6 +139,41 @@ def test_large_walk_streams_are_pinned():
          "iR2_insert,iR2_delete,R3,dR2_insert,dR2_delete"],
         "09ae4b01b8cc223cba74b7fa212b135158831518dd6b6d65a00b20b6b8a2e5e4",
     ),
+    # One case per convention, and table under each eval mode.
+    *(
+        (_eval_under(o, r, m), expected)
+        for (o, r, m), expected in zip(
+            itertools.product(("ccw", "cw"), ("forward_plus", "forward_minus"),
+                              ("weighted", "constrained")),
+            (
+                "d0137089b32a7d3375dd76b5f06c3938ad5d9061d3b7c6d44e0c342035fece40",
+                "82a55db1d875b1bf3e0e730d3ab640cc7ad320b92a7cc96569b24b2594a72b2f",
+                "621d6330aaa87c79892f0126dd666998b10e744b27582e308e7fe83214f752fc",
+                "aac5481d1c7ebca402bf38451e2782bba4de216eb02f49a3e1a47f4563e43e80",
+                "5002e39edcdbe6713be7224e2058f6843ed53755210c84237ce29bcf8cecbda4",
+                "b5e6ae102e3a21f22d438be8c1e8034032040f54020768f8710eb9b03b9d6ba6",
+                "fe919516ac115e26a2eaed8e24a56989e435167ef4116073653e3743d1d814a3",
+                "179ee15ecf5bf344081b913702d6b5a5bde40363f66f5cabac7307981af25109",
+            ),
+        )
+    ),
+    *(
+        (["table", "--r", "2", "--b0", "1", "--c0", "1", "--kmax", "5",
+          *_flags("ccw", "forward_plus", m)], expected)
+        for m, expected in (
+            ("weighted",
+             "997875a32026d06c7bb69c2583c40b42af0ea6d7b16c4fc1b8be32e20c26612a"),
+            ("constrained",
+             "3a2ebc7b3fc9124b314ca80c6c01843093e2c8299492938dd46740b39cf0acdc"),
+        )
+    ),
 ])
-def test_cli_streams_are_pinned(capsys, argv, expected):
-    assert _digest(_cli_stdout(capsys, argv)) == expected
+def test_cli_streams_are_pinned(capsys, tmp_path, argv, expected):
+    records = tmp_path / "records.txt"
+    records.write_text(_records_text())
+    runs = argv if isinstance(argv[0], list) else [argv]
+    out = "".join(
+        _cli_stdout(capsys, [str(records) if a is RECORDS else a for a in run])
+        for run in runs
+    )
+    assert _digest(out) == expected
