@@ -67,7 +67,6 @@ from .registry import (
     default_fuzz_seeds,
     format_calibration,
     frozen_calibration,
-    parse_calibration,
     triangle_candidates,
 )
 

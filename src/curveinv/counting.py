@@ -3,9 +3,9 @@
 Every public counter and evaluator runs one path: build DiagramTables for
 a batch of diagrams once, then count each based pattern against them.
 A single diagram is a batch of one; evaluate_many and the move-invariance
-loops pass many. Formulas are compiled once per orientation and eval mode
-(memoized per formula tuple) into their distinct based patterns and an
-integer coefficient map, so a pattern that several terms share is counted
+loops pass many. Formulas are compiled once per orientation (memoized
+per formula tuple) into their distinct based patterns and an integer
+coefficient map, so a pattern that several terms share is counted
 once per batch; each based pattern is a Term of the roles, steps and
 ends the kernel reads. Arrow patterns ignore the base point: their count
 sums the based counts of the pattern's rotations (by inclusion-exclusion
@@ -132,16 +132,17 @@ class DiagramTables:
     j to a later real item l of the diagram, else -1. ends[LO], ends[HI],
     ends[BOTTOM] and ends[TOP] hold per global item the hi ranks of its lo
     and hi, 0 and m, where the hi rank of an endpoint is the number of its
-    diagram's items, padding included, whose hi lies below it. Role
-    filters, role-1 prefix tables (_prefix) and each relation's pair list
-    are built on first use and kept. Padding fails every role filter (the
-    unweighted filter is sign != 0), so it never counts. Items keep their
-    direction (chords point forward) for arrow patterns; given an arrow
-    rule, each arrow whose direction the rule negates has its sign negated,
-    as arrows_to_chords does. Memory is O(B*m^2).
+    diagram's items, padding included, whose hi lies below it. Items keep
+    their direction (chords point forward) for arrow patterns; given an
+    arrow rule, each arrow whose direction the rule negates has its sign
+    negated, as arrows_to_chords does. weights holds per item what a match
+    weighs: its sign when weighted, else sign != 0, so padding weighs 0 and
+    never counts. Role filters, role-1 prefix tables (_prefix) and each
+    relation's pair list are built on first use and kept. Memory is
+    O(B*m^2).
     """
 
-    def __init__(self, diagrams, rule: ArrowRule | None = None):
+    def __init__(self, diagrams, rule: ArrowRule | None, weighted: bool):
         self.batch = batch = len(diagrams)
         self.m = m = max(d.n for d in diagrams) + 1
         items = np.zeros((batch, m, 3), dtype=np.int32)
@@ -157,6 +158,9 @@ class DiagramTables:
             arrows = [isinstance(d, ArrowDiagram) for d in diagrams]
             flip = rule.negates(self.forward) & np.repeat(arrows, m)
             self.signs = np.where(flip, -self.signs, self.signs)
+        self.weights = (
+            self.signs if weighted else (self.signs != 0).astype(np.int32)
+        )
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         hi_j, hi_l = hi.reshape(batch, m, 1), hi.reshape(batch, 1, m)
         lo_j, lo_l = lo.reshape(batch, m, 1), lo.reshape(batch, 1, m)
@@ -180,28 +184,26 @@ class DiagramTables:
         self._prefixes: dict[tuple, np.ndarray] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _role(self, weighted: bool, role: tuple[int, bool | None]):
+    def _role(self, role: tuple[int, bool | None]):
         """Per-item filter of one role: 0 where an item cannot fill it,
-        else its sign when weighted, else 1."""
-        key = (weighted, role)
-        u = self._roles.get(key)
+        else its weight."""
+        u = self._roles.get(role)
         if u is None:
             constraint, forward = role
-            u = self.signs if weighted else (self.signs != 0).astype(np.int32)
+            u = self.weights
             if constraint != ANY:
                 u = u * (self.signs == constraint)
             if forward is not None:
                 u = u * (self.forward == forward)
-            self._roles[key] = u
+            self._roles[role] = u
         return u
 
-    def _prefix(self, weighted: bool, role: tuple[int, bool | None]):
+    def _prefix(self, role: tuple[int, bool | None]):
         """The int32 table F of shape (B*m, m + 1): F[b*m + j, r] is the
         role's filter summed over diagram b's items i < j of hi rank below
         r. A diagram's last item is padding, so leaving it out of its own
         rows makes a global index its table row; |F| <= m fits int32."""
-        key = (weighted, role)
-        table = self._prefixes.get(key)
+        table = self._prefixes.get(role)
         if table is None:
             m = self.m
             table = np.zeros((self.batch * m, m + 1), dtype=np.int32)
@@ -209,12 +211,12 @@ class DiagramTables:
             # last item, padding, adds 0 to the next diagram's row 0.
             np.multiply(
                 np.arange(m + 1) > self.ends[HI][:-1, None],
-                self._role(weighted, role)[:-1, None],
+                self._role(role)[:-1, None],
                 out=table[1:],
             )
             stacked = table.reshape(self.batch, m, m + 1)
             stacked.cumsum(axis=1, out=stacked)
-            self._prefixes[key] = table
+            self._prefixes[role] = table
         return table
 
     def _pair_list(self, r: int):
@@ -257,26 +259,26 @@ class DiagramTables:
             grown, new = grown[keep], new[keep]
             yield from self._grow((*(t[grown] for t in tuples), new), rest)
 
-    def count(self, term: Term, weighted: bool) -> np.ndarray:
+    def count(self, term: Term) -> np.ndarray:
         """Per-diagram sums over index tuples i1<i2<...<ik realizing the
         based pattern, as an int64 array of one total per diagram.
 
         A tuple realizes the term when its pairwise relations are the
-        pattern's and each item passes its role's filter (sign
-        constraint and, for arrow patterns, direction). It weighs the
-        product of its signs when weighted, else 1. Relations among roles
-        2..k fix their endpoint order, so an item before role 2 fits role 1
-        exactly when its hi lies between term.ends. Tuples come
-        diagram-major, so cuts on their first index split the sums.
+        pattern's and each item passes its role's filter (sign constraint
+        and, for arrow patterns, direction). It weighs the product of its
+        items' weights. Relations among roles 2..k fix their endpoint
+        order, so an item before role 2 fits role 1 exactly when its hi
+        lies between term.ends. Tuples come diagram-major, so cuts on their
+        first index split the sums.
         """
         k = len(term.roles)
         if k == 1:
-            u = self._role(weighted, term.roles[0])
+            u = self._role(term.roles[0])
             return u.reshape(self.batch, self.m).sum(axis=1, dtype=np.int64)
         seed = (self.items,) if k == 2 else self._pair_list(term.steps[0][0])
         blocks = self._grow(seed, term.steps[1:])
         (b0, s0), (b1, s1) = term.ends
-        table = self._prefix(weighted, term.roles[0])
+        table = self._prefix(term.roles[0])
         flat = table.ravel()
         totals = np.zeros(self.batch, dtype=np.int64)
         for tuples in blocks:
@@ -285,7 +287,7 @@ class DiagramTables:
             w = flat[base + self.ends[s1][tuples[b1]]]
             w = w - flat[base + self.ends[s0][tuples[b0]]]
             for role, t in zip(term.roles[1:], tuples):
-                w = w * self._role(weighted, role)[t]
+                w = w * self._role(role)[t]
             if self.batch == 1:
                 totals[0] += w.sum(dtype=np.int64)
             else:
@@ -320,14 +322,12 @@ def _meet(constraints) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _based_counts(
-    p: Pattern, mode: EvalMode | None
-) -> list[tuple[tuple[Term, bool], int]]:
-    """((term, weighted), multiplicity) pairs: p's count is the sum of
-    multiplicity times the based count.
+def _based_counts(p: Pattern) -> list[tuple[Term, int]]:
+    """(term, multiplicity) pairs: p's count is the sum of multiplicity
+    times the based count, on tables weighted as p's kind and the eval mode
+    require (see _evaluate).
 
-    Chord patterns are based and weighted per mode. Arrow patterns ignore
-    the base point and weigh each match by the product of its arrow signs.
+    Chord patterns are based. Arrow patterns ignore the base point.
     A k-subset of arrows has one based configuration, and it matches when
     that configuration is a rotation of p whose sign constraints it meets.
     Rotations of one configuration with different constraints (p's shape
@@ -335,7 +335,7 @@ def _based_counts(
     their union is counted by inclusion-exclusion over constraint meets.
     """
     if p.kind is PatternKind.CHORD:
-        return [((_term(p), mode is EvalMode.WEIGHTED), 1)]
+        return [(_term(p), 1)]
     by_shape: dict[tuple, list[Term]] = {}
     for rot in _rotations(p):
         t = _term(rot)
@@ -348,15 +348,13 @@ def _based_counts(
                 meet = _meet(tuple(c for c, _ in t.roles) for t in chosen)
                 if meet is not None:
                     term = chosen[0]._replace(roles=tuple(zip(meet, dirs)))
-                    out.append(((term, True), (-1) ** (r + 1)))
+                    out.append((term, (-1) ** (r + 1)))
     return out
 
 
 @functools.lru_cache(maxsize=1 << 12)
 def _plan(
-    formulas: tuple[Formula, ...],
-    orientation: Orientation,
-    mode: EvalMode | None,
+    formulas: tuple[Formula, ...], orientation: Orientation
 ) -> tuple[tuple, tuple]:
     """Compile formulas into (distinct based counts, coefficient rows).
 
@@ -366,14 +364,14 @@ def _plan(
     plans, so callers that count many one-term formulas (one per pattern)
     compile each pattern once.
     """
-    index: dict[tuple[Term, bool], int] = {}
+    index: dict[Term, int] = {}
     rows = []
     for f in formulas:
         row: dict[int, int] = {}
         for coeff, p in f.terms:
             if orientation is Orientation.CW:
                 p = mirror_pattern(p)
-            for based, m in _based_counts(p, mode):
+            for based, m in _based_counts(p):
                 i = index.setdefault(based, len(index))
                 row[i] = row.get(i, 0) + m * coeff
         rows.append(tuple(row.items()))
@@ -415,36 +413,37 @@ def _evaluate(
     diagram fits it (under a convention, the tables read arrows as chords
     for chord formulas); then, per batch of diagrams, counts each
     distinct based pattern of the compiled formulas once on one set of
-    stacked tables and applies the coefficient map. Diagrams are read
-    lazily, one batch (plus the diagram that opens the next) at a time, so
-    a caller that stops early stops the work producing them. Without a
-    convention, templates are read as given (counterclockwise) and arrow
-    diagrams are never switched.
+    stacked tables and applies the coefficient map. A match weighs the
+    product of its signs for arrow formulas and for chord formulas in
+    weighted mode, else 1. Diagrams are read lazily, one batch (plus the
+    diagram that opens the next) at a time, so a caller that stops early
+    stops the work producing them. Without a convention, templates are
+    read as given (counterclockwise) and arrow diagrams are never
+    switched.
     """
     if any(f.kind is not kind for f in formulas):
         raise KindMismatchError(f"expected {kind.value} patterns")
-    rule, chordlike = None, SignedChordDiagram
-    if kind is PatternKind.CHORD and conv is not None:
-        rule, chordlike = conv.arrow_rule, (SignedChordDiagram, ArrowDiagram)
+    rule, weighted, modeless = None, True, False
+    accepted, refusal = ArrowDiagram, "arrow formula needs an arrow diagram"
+    if kind is PatternKind.CHORD:
+        accepted = SignedChordDiagram
+        refusal = "chord formula needs a signed chord diagram"
+        weighted, modeless = mode is EvalMode.WEIGHTED, mode is None
+        if conv is not None:
+            rule, accepted = conv.arrow_rule, (SignedChordDiagram, ArrowDiagram)
 
     def fit(d):
-        if kind is PatternKind.ARROW:
-            if not isinstance(d, ArrowDiagram):
-                raise KindMismatchError("arrow formula needs an arrow diagram")
-            return d
-        if not isinstance(d, chordlike):
-            raise KindMismatchError(
-                "chord formula needs a signed chord diagram"
-            )
-        if mode is None:
+        if not isinstance(d, accepted):
+            raise KindMismatchError(refusal)
+        if modeless:
             raise ValueError("chord formulas need an explicit EvalMode")
         return d
 
     orientation = Orientation.CCW if conv is None else conv.orientation
-    based, rows = _plan(formulas, orientation, mode)
+    based, rows = _plan(formulas, orientation)
     for batch in _batches(map(fit, diagrams)):
-        tables = DiagramTables(batch, rule)
-        counts = [tables.count(t, weighted).tolist() for t, weighted in based]
+        tables = DiagramTables(batch, rule, weighted)
+        counts = [tables.count(t).tolist() for t in based]
         for b in range(len(batch)):
             yield tuple(sum(c * counts[i][b] for i, c in row) for row in rows)
 

@@ -52,8 +52,8 @@ class ArrowRule(Enum):
 class Convention:
     """The finite set of reading conventions left open by the source figures.
 
-    Fixed once by calibration and then frozen in configuration; nothing in
-    the library silently picks a value.
+    The defaults are the frozen calibration's convention: registry's tests
+    reproduce it as the first survivor of calibrate.
     """
 
     orientation: Orientation = Orientation.CCW

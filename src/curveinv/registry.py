@@ -55,10 +55,6 @@ ALIASES = {
 }
 
 
-def _data(name: str) -> str:
-    return resources.files("curveinv").joinpath(f"data/{name}").read_text()
-
-
 def parse_formula_file(text: str) -> list[Formula]:
     """Parse a formula file: one formula per line, blank and # lines
     skipped. Parse errors carry the line and column within the file."""
@@ -73,7 +69,8 @@ def parse_formula_file(text: str) -> list[Formula]:
 
 @functools.cache
 def _load() -> dict[str, Formula]:
-    table = {f.name: f for f in parse_formula_file(_data("formulas.txt"))}
+    text = resources.files("curveinv").joinpath("data/formulas.txt").read_text()
+    table = {f.name: f for f in parse_formula_file(text)}
     assert tuple(table) == FORMULA_NAMES
     return table
 
@@ -141,31 +138,13 @@ def format_calibration(cal: Calibration) -> str:
     )
 
 
-def parse_calibration(text: str) -> Calibration:
-    fields: dict[str, str] = {}
-    for _, line in iter_diagram_records(text):
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            key, _, value = chunk.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
-        conv = Convention(
-            orientation=Orientation(fields["orientation"]),
-            arrow_rule=ArrowRule(fields["arrow_rule"]),
-            eval_mode=EvalMode(fields["eval_mode"]),
-        )
-        triangle = parse_pattern(fields["triangle"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad calibration text: {exc}") from exc
-    return Calibration(convention=conv, triangle=triangle)
-
-
 @functools.cache
 def frozen_calibration() -> Calibration:
-    """The packaged calibration every default evaluation runs under."""
-    return parse_calibration(_data("calibration.cfg"))
+    """The calibration every default evaluation runs under: Convention's
+    defaults and the triangle candidate [1>4,5>2,3>6]. It is the first
+    survivor, in canonical search order, of calibrate over cabc(1,1,1),
+    cabc(2,1,1) and torus(3) at 200 trials."""
+    return Calibration(Convention(), parse_pattern("[1>4,5>2,3>6]"))
 
 
 @dataclass

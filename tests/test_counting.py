@@ -445,7 +445,7 @@ def test_rotations_that_meet_no_sign_vector_add_no_overlap_term():
     # sum of the four rotations' based counts.
     p = parse_pattern("[1>2:+,3>4:-]")
     assert counting._meet(((1, -1), (-1, 1))) is None
-    assert [m for _, m in counting._based_counts(p, None)] == [1, 1, 1, 1]
+    assert [m for _, m in counting._based_counts(p)] == [1, 1, 1, 1]
     rng = random.Random(431)
     for _ in range(300):
         d = random_arrow_diagram(rng)
@@ -621,9 +621,9 @@ def test_evaluate_many_splits_input_by_element_budget(
     built = []
     init = counting.DiagramTables.__init__
 
-    def recording(self, diagrams, rule=None):
+    def recording(self, diagrams, rule, weighted):
         built.append([d.n for d in diagrams])
-        init(self, diagrams, rule)
+        init(self, diagrams, rule, weighted)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
     # 30 diagrams of 12 to 50 chords, then one whose own padded codes
@@ -645,13 +645,12 @@ def test_evaluate_many_splits_input_by_element_budget(
 def test_formulas_pickle_to_values_that_find_their_plan(formulas, conv):
     # The plan cache is keyed by the formulas' value hash, which is
     # computed afresh in each process, never stored with the value.
-    key = (conv.orientation, conv.eval_mode)
-    counting._plan(formulas, *key)
+    counting._plan(formulas, conv.orientation)
     back = pickle.loads(pickle.dumps(formulas))
     assert back == formulas and back is not formulas
     assert [hash(f) for f in back] == [hash(f) for f in formulas]
     hits = counting._plan.cache_info().hits
-    counting._plan(back, *key)
+    counting._plan(back, conv.orientation)
     assert counting._plan.cache_info().hits == hits + 1
 
 
@@ -668,9 +667,9 @@ def test_counting_a_pattern_again_compiles_nothing(monkeypatch):
     compiled = []
     based_counts = counting._based_counts
 
-    def recording(p, mode):
+    def recording(p):
         compiled.append(p)
-        return based_counts(p, mode)
+        return based_counts(p)
 
     monkeypatch.setattr(counting, "_based_counts", recording)
     first = [count_embeddings(p, d, EvalMode.WEIGHTED) for p in patterns]

@@ -24,12 +24,10 @@ from curveinv import (
     count_arrow_with_convention,
     default_fuzz_seeds,
     evaluate_many,
-    format_calibration,
     frozen_calibration,
     fuzz_invariance,
     gen_cabc,
     gen_torus,
-    parse_calibration,
     parse_formula,
     random_site_balanced,
     serialize_formula,
@@ -121,24 +119,6 @@ def test_frozen_calibration_pins_the_convention():
     assert cal.triangle in triangle_candidates()
 
 
-def test_calibration_config_round_trip():
-    cal = frozen_calibration()
-    assert parse_calibration(format_calibration(cal)).convention == cal.convention
-    assert parse_calibration(format_calibration(cal)).triangle == cal.triangle
-
-
-@pytest.mark.parametrize("text", [
-    "orientation=ccw; arrow_rule=forward_plus; eval_mode=weighted",
-    "orientation=up; arrow_rule=forward_plus; eval_mode=weighted;"
-    " triangle=[1>4,5>2,3>6]",
-    "orientation=ccw; arrow_rule=forward_plus; eval_mode=weighted;"
-    " triangle=[1>4,5>2]",
-])
-def test_parse_calibration_refuses_bad_text(text):
-    with pytest.raises(ValueError, match="bad calibration text"):
-        parse_calibration(text)
-
-
 def test_calibrate_rejects_empty_seeds():
     for seeds in ([], iter([])):
         with pytest.raises(ValueError, match="seeds must be nonempty"):
@@ -174,9 +154,9 @@ def test_zero_move_walks_evaluate_nothing(monkeypatch, formulas, conv):
     built = []
     init = counting.DiagramTables.__init__
 
-    def recording(self, diagrams, rule=None):
+    def recording(self, diagrams, rule, weighted):
         built.append(rule)
-        init(self, diagrams, rule)
+        init(self, diagrams, rule, weighted)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
     seeds = default_fuzz_seeds()
@@ -279,9 +259,9 @@ def test_invariance_walk_of_small_diagrams_builds_one_table_set(
     built = []
     init = counting.DiagramTables.__init__
 
-    def recording(self, diagrams, rule=None):
+    def recording(self, diagrams, rule, weighted):
         built.append(len(diagrams))
-        init(self, diagrams, rule)
+        init(self, diagrams, rule, weighted)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
     seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
@@ -375,7 +355,7 @@ def test_calibrate_of_a_corrupted_formula_equals_the_reference():
 
 
 def test_packaged_calibration_reproduces_as_its_file_says():
-    # data/calibration.cfg: the first survivor over cabc(1,1,1),
+    # frozen_calibration's docstring: the first survivor over cabc(1,1,1),
     # cabc(2,1,1) and torus(3) at trials=200.
     seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
     report = calibrate(seeds, 200, "0")
