@@ -359,3 +359,52 @@ def test_calibrate_registry_of_only_comments(tmp_path, capsys):
     code, _, err = run(capsys, "calibrate", "--registry", str(reg))
     assert code == 2
     assert "holds no formulas" in err
+
+
+# Invalid records are refused with validate's violations, exit code 2 and
+# nothing on stdout; the messages are pinned byte for byte.
+BAD_N = "arrows; n=3; 1>2:+"
+BAD_N_ERR = ("error: n=3 but 1 arrows present; slot 3 unused; "
+             "slot 4 unused; slot 5 unused; slot 6 unused\n")
+OUT_OF_RANGE = "arrows; n=1; 1>5:+"
+OUT_OF_RANGE_ERR = "error: arrow 0: slot 5 out of range 1..2; slot 2 unused\n"
+
+
+@pytest.mark.parametrize(
+    "record,stderr",
+    [
+        (BAD_N, BAD_N_ERR),
+        (OUT_OF_RANGE, OUT_OF_RANGE_ERR),
+        ("chords; n=2; 1-3:+ 2-3:+",
+         "error: slot 3 reused; slot 4 unused\n"),
+        ("chords; n=1000000; 1-2:+",
+         "error: n=1000000 but 1 chords present; "
+         + "".join(f"slot {s} unused; " for s in range(3, 13))
+         + "1999988 more slots unused\n"),
+    ],
+)
+def test_eval_refuses_invalid_record(capsys, record, stderr):
+    code, out, err = run(capsys, "eval", "--formula", "I2_1", "--code", record)
+    assert (code, out, err) == (2, "", stderr)
+
+
+def test_eval_keeps_values_printed_before_an_invalid_record(tmp_path, capsys):
+    f = tmp_path / "diagrams.txt"
+    f.write_text("chords; n=2; 1-3:+ 2-4:+\n" + BAD_N + "\n")
+    code, out, err = run(capsys, "eval", "--formula", "I2_1", str(f))
+    assert (code, out, err) == (2, "-1\n", BAD_N_ERR)
+
+
+def test_replay_refuses_invalid_record(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("")
+    code, out, err = run(capsys, "replay", "--code", BAD_N, "--log", str(log))
+    assert (code, out, err) == (2, "", BAD_N_ERR)
+
+
+def test_fuzz_refuses_invalid_seed_record(tmp_path, capsys):
+    f = tmp_path / "seeds.txt"
+    f.write_text(TORUS3 + "\n" + OUT_OF_RANGE + "\n")
+    code, out, err = run(capsys, "fuzz", "--seeds", str(f), "--trials", "2",
+                         "--depth", "3")
+    assert (code, out, err) == (2, "", OUT_OF_RANGE_ERR)
