@@ -409,7 +409,7 @@ def _evaluate(
     """The one evaluator behind every public counter: yields one value
     tuple per diagram, in order.
 
-    Checks that every formula is of the caller's kind and that each
+    Checks that every formula term is of the caller's kind and that each
     diagram fits it (under a convention, the tables read arrows as chords
     for chord formulas); then, per batch of diagrams, counts each
     distinct based pattern of the compiled formulas once on one set of
@@ -421,7 +421,7 @@ def _evaluate(
     read as given (counterclockwise) and arrow diagrams are never
     switched.
     """
-    if any(f.kind is not kind for f in formulas):
+    if any(p.kind is not kind for f in formulas for _, p in f.terms):
         raise KindMismatchError(f"expected {kind.value} patterns")
     rule, weighted, modeless = None, True, False
     accepted, refusal = ArrowDiagram, "arrow formula needs an arrow diagram"

@@ -6,7 +6,7 @@ slots with a sign per chord; an arrow diagram is the directed variant with
 a sign per arrow. Both have a stable one-line text form.
 
 All types are immutable values; construction canonicalizes chord order so
-equal diagrams compare equal.
+equal diagrams compare equal, then refuses a broken matching.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ class SignedChordDiagram:
             (min(a, b), max(a, b), s) for a, b, s in self.chords
         )
         object.__setattr__(self, "chords", tuple(fixed))
+        _refuse_invalid(self)
 
 
 class SlotTable(NamedTuple):
@@ -107,10 +108,12 @@ class ArrowDiagram:
     def __post_init__(self):
         fixed = sorted(self.arrows, key=lambda ar: (min(ar[0], ar[1]), ar))
         object.__setattr__(self, "arrows", tuple(fixed))
+        _refuse_invalid(self)
 
     @classmethod
     def _canonical(cls, n: int, arrows: tuple) -> ArrowDiagram:
-        """A diagram of arrows already in canonical order, left unsorted."""
+        """A diagram that skips the constructor's sort and check: callers
+        guarantee a valid matching already in canonical order."""
         d = object.__new__(cls)
         d.__dict__.update(n=n, arrows=arrows)
         return d
@@ -152,8 +155,9 @@ def _items(d: Diagram) -> tuple[tuple[int, int, int], ...]:
 def validate(d: Diagram) -> list[str]:
     """Return every violated invariant (empty list means the diagram is ok).
 
-    Violations are data, not failures: callers that must refuse invalid
-    diagrams raise InvalidDiagramError with this list.
+    Both diagram constructors apply this rule to their sorted items and
+    raise InvalidDiagramError with the list when it is not empty; it still
+    reports on values built by ArrowDiagram._canonical, which skips that.
     """
     problems = []
     items = _items(d)
@@ -193,13 +197,20 @@ def validate(d: Diagram) -> list[str]:
     return problems
 
 
+def _refuse_invalid(d: Diagram) -> None:
+    problems = validate(d)
+    if problems:
+        raise InvalidDiagramError(problems)
+
+
 def parse_diagram(text: str, line: int = 1) -> Diagram:
     """Parse one diagram record.
 
     Grammar: ``kind ";" "n=" INT ";" item*`` with kind in {chords, arrows},
     chord items ``A-B:S`` and arrow items ``T>H:S``, whitespace between
     fields being any run of spaces. Raises ParseError with line/column on
-    syntax errors and InvalidDiagramError when the matching is broken.
+    syntax errors before anything is built; the diagram's constructor
+    raises InvalidDiagramError when the matching is broken.
     """
     cur = _Cursor(text.rstrip("\n"), line)
     cur.skip_ws()
@@ -232,18 +243,11 @@ def parse_diagram(text: str, line: int = 1) -> Diagram:
         raise ParseError(f"chord endpoints equal at slot {a}", line, col)
 
     kind_type = SignedChordDiagram if kind == "chords" else ArrowDiagram
-    d = kind_type(n, tuple(items))
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagramError(problems)
-    return d
+    return kind_type(n, tuple(items))
 
 
 def serialize_diagram(d: Diagram) -> str:
-    """Canonical one-line record; refuses invalid diagrams."""
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagramError(problems)
+    """Canonical one-line record of a diagram, valid since it was built."""
     if isinstance(d, SignedChordDiagram):
         kind, sep = "chords", "-"
     else:

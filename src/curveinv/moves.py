@@ -18,8 +18,8 @@ starts at the base point, arc 2n ends at it).
 Site finders and applies read partners, directions and signs from the
 diagram's slot table (ArrowDiagram.slots), built at most once per diagram.
 Delete scans are one pass over that table. Applies build their arrows in
-canonical order (each arrow's lower end ascending), skipping the sort the
-public ArrowDiagram constructor still does.
+canonical order (each arrow's lower end ascending) and skip the sort and
+validity check the public ArrowDiagram constructor does.
 """
 
 from __future__ import annotations

@@ -123,10 +123,6 @@ class Calibration:
     convention: Convention
     triangle: Pattern
 
-    @property
-    def eval_mode(self) -> EvalMode:
-        return self.convention.eval_mode
-
 
 def format_calibration(cal: Calibration) -> str:
     conv = cal.convention

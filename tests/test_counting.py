@@ -179,6 +179,8 @@ def test_kind_mismatch_rejected(frozen, conv):
         lambda: evaluate_with_convention(arrow_formula, chords, conv),
         lambda: evaluate_all([chord_formula, arrow_formula], arrows, conv),
         lambda: evaluate_all([arrow_formula], chords, conv),
+        lambda: evaluate_all(
+            [Formula("X", ((1, CROSSED), (1, tri)))], chords, conv),
     ]
     for call in calls:
         with pytest.raises(KindMismatchError):

@@ -32,26 +32,32 @@ def test_validate_empty_diagram():
 
 
 def test_validate_reports_broken_matching():
-    d = SignedChordDiagram(n=2, chords=((1, 3, 1), (1, 4, -1)))
-    violations = validate(d)
+    with pytest.raises(InvalidDiagramError) as info:
+        SignedChordDiagram(n=2, chords=((1, 3, 1), (1, 4, -1)))
+    violations = info.value.violations
     assert any("slot 1" in v for v in violations)
     assert any("slot 2" in v for v in violations)
 
 
 def test_validate_reports_out_of_range_slot():
-    d = ArrowDiagram(n=1, arrows=((1, 5, 1),))
-    assert validate(d) != []
+    with pytest.raises(InvalidDiagramError) as info:
+        ArrowDiagram(n=1, arrows=((1, 5, 1),))
+    assert info.value.violations != []
 
 
+# Each case is built inside the test, where its refusal can be caught.
 @pytest.mark.parametrize("d,violations", [
-    (SignedChordDiagram(n=-1), ["negative chord count -1"]),
-    (ArrowDiagram(n=1, arrows=((2, 2, 1),)),
+    (lambda: SignedChordDiagram(n=-1), ["negative chord count -1"]),
+    (lambda: ArrowDiagram(n=1, arrows=((2, 2, 1),)),
      ["arrow 0: endpoints equal at slot 2", "slot 2 reused", "slot 1 unused"]),
-    (SignedChordDiagram(n=1, chords=((1, 2, 0),)), ["chord 0: bad sign 0"]),
+    (lambda: SignedChordDiagram(n=1, chords=((1, 2, 0),)),
+     ["chord 0: bad sign 0"]),
 ])
 def test_validate_reports_each_broken_field(d, violations):
     # Parsed records never reach these: the parser refuses them first.
-    assert validate(d) == violations
+    with pytest.raises(InvalidDiagramError) as info:
+        d()
+    assert info.value.violations == violations
 
 
 def test_parse_chord_diagram():
@@ -98,9 +104,10 @@ def test_serialize_sorts_unsorted_input():
 
 
 def test_serialize_refuses_invalid_diagram():
-    d = SignedChordDiagram(n=2, chords=((1, 3, 1), (1, 4, -1)))
+    # An invalid diagram cannot be built, so it never reaches the writer.
     with pytest.raises(InvalidDiagramError):
-        serialize_diagram(d)
+        serialize_diagram(
+            SignedChordDiagram(n=2, chords=((1, 3, 1), (1, 4, -1))))
 
 
 def test_parse_accepts_whitespace_runs():
@@ -192,8 +199,9 @@ def test_random_corruptions_fail_validation(seed, reuse):
     a, b, s = chords[0]
     # Either reuse a slot from another chord or push one out of range.
     chords[0] = (a, chords[-1][0], s) if reuse and d.n > 1 else (a, 2 * d.n + 1, s)
-    bad = SignedChordDiagram(n=d.n, chords=tuple(chords))
-    assert validate(bad) != []
+    with pytest.raises(InvalidDiagramError) as info:
+        SignedChordDiagram(n=d.n, chords=tuple(chords))
+    assert info.value.violations != []
 
 
 def test_iter_diagram_records_skips_comments_and_blanks():
@@ -279,12 +287,25 @@ def test_validate_bounds_unused_slot_report():
     assert named[10:] == ["1999988 more slots unused"]
 
 
+def unused_slots(n):
+    with pytest.raises(InvalidDiagramError) as info:
+        SignedChordDiagram(n=n, chords=((1, 2, 1),))
+    return [v for v in info.value.violations if v.endswith(" unused")]
+
+
 def test_validate_names_every_unused_slot_up_to_ten():
-    d = SignedChordDiagram(n=6, chords=((1, 2, 1),))
-    assert [v for v in validate(d) if v.endswith(" unused")] == [
-        f"slot {s} unused" for s in range(3, 13)
+    assert unused_slots(6) == [f"slot {s} unused" for s in range(3, 13)]
+    assert unused_slots(7)[-1] == "2 more slots unused"
+
+
+def test_constructors_refuse_invalid_diagrams_at_once():
+    with pytest.raises(InvalidDiagramError) as info:
+        ArrowDiagram(n=3, arrows=((1, 2, 1),))
+    assert info.value.violations == [
+        "n=3 but 1 arrows present", "slot 3 unused", "slot 4 unused",
+        "slot 5 unused", "slot 6 unused",
     ]
-    d = SignedChordDiagram(n=7, chords=((1, 2, 1),))
-    assert [v for v in validate(d) if v.endswith(" unused")][-1] == (
-        "2 more slots unused"
-    )
+    # A claimed size far beyond the items costs nothing to refuse.
+    with pytest.raises(InvalidDiagramError) as info:
+        ArrowDiagram(n=10**9, arrows=())
+    assert len(str(info.value)) < 2048
