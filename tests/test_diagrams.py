@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,10 +48,10 @@ def test_validate_reports_out_of_range_slot():
 
 # Each case is built inside the test, where its refusal can be caught.
 @pytest.mark.parametrize("d,violations", [
-    (lambda: SignedChordDiagram(n=-1), ["negative chord count -1"]),
-    (lambda: ArrowDiagram(n=1, arrows=((2, 2, 1),)),
+    (partial(SignedChordDiagram, n=-1), ["negative chord count -1"]),
+    (partial(ArrowDiagram, n=1, arrows=((2, 2, 1),)),
      ["arrow 0: endpoints equal at slot 2", "slot 2 reused", "slot 1 unused"]),
-    (lambda: SignedChordDiagram(n=1, chords=((1, 2, 0),)),
+    (partial(SignedChordDiagram, n=1, chords=((1, 2, 0),)),
      ["chord 0: bad sign 0"]),
 ])
 def test_validate_reports_each_broken_field(d, violations):
