@@ -11,15 +11,12 @@ import functools
 import sys
 from pathlib import Path
 
-from .counting import (
-    KindMismatchError,
-    evaluate_many,
-    evaluate_with_convention,
-)
+from .counting import KindMismatchError, _evaluate, _fit, evaluate_many
 from .diagrams import (
     ArrowDiagram,
     ArrowRule,
     Convention,
+    InvalidDiagramError,
     Orientation,
     iter_diagram_records,
     parse_diagram,
@@ -60,14 +57,26 @@ def _add_convention_flags(sub) -> None:
         sub.add_argument(flag, choices=[c.value for c in enum], default=None)
 
 
-def _read_records(args) -> list[tuple[int, str]]:
+def _read_records(args) -> list[tuple[int | None, str]]:
+    """(file line, record) pairs; an inline record has no file line."""
     if args.code is not None and args.file is not None:
         raise ValueError("give --code or a diagram file, not both")
     if args.code is not None:
-        return [(1, args.code)]
+        return [(None, args.code)]
     if args.file is not None:
         return list(iter_diagram_records(Path(args.file).read_text()))
     raise ValueError("give --code or a diagram file")
+
+
+def _parse_record(lineno: int | None, raw: str):
+    """parse_diagram; a file record whose matching is broken is refused
+    with its line named."""
+    try:
+        return parse_diagram(raw, line=lineno or 1)
+    except InvalidDiagramError as exc:
+        if lineno is None:
+            raise
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -76,9 +85,20 @@ def _cmd_eval(args) -> int:
         formula = parse_formula(args.formula)
     else:
         formula = builtin_formula(args.formula)
+    # The records before the first bad one are evaluated in one batch,
+    # printed, and then the bad one is refused.
+    kind, mode = formula.kind, conv.eval_mode
+    diagrams, refusal = [], None
     for lineno, raw in _read_records(args):
-        d = parse_diagram(raw, line=lineno)
-        print(evaluate_with_convention(formula, d, conv))
+        try:
+            diagrams.append(_fit(_parse_record(lineno, raw), kind, conv, mode))
+        except (ValueError, KindMismatchError) as exc:
+            refusal = exc
+            break
+    for (value,) in _evaluate(kind, (formula,), diagrams, conv, mode):
+        print(value)
+    if refusal is not None:
+        raise refusal
     return 0
 
 
@@ -106,7 +126,7 @@ def _load_seeds(args) -> list:
         return default_fuzz_seeds()
     seeds = []
     for lineno, raw in iter_diagram_records(Path(args.seeds).read_text()):
-        d = parse_diagram(raw, line=lineno)
+        d = _parse_record(lineno, raw)
         if not isinstance(d, ArrowDiagram):
             raise ValueError(f"line {lineno}: fuzz seeds must be arrow diagrams")
         if any(s != 1 for _, _, s in d.arrows):  # the invariants' domain
@@ -163,8 +183,7 @@ def _cmd_replay(args) -> int:
     records = _read_records(args)
     if len(records) != 1:
         raise ValueError("replay needs exactly one starting diagram")
-    lineno, raw = records[0]
-    d = parse_diagram(raw, line=lineno)
+    d = _parse_record(*records[0])
     if not isinstance(d, ArrowDiagram):
         raise ValueError("replay operates on arrow diagrams")
     log = Path(args.log).read_text().splitlines()

@@ -1,37 +1,40 @@
 """Optimized pattern counting and formula evaluation.
 
 Every public counter and evaluator runs one path: build DiagramTables for
-a batch of diagrams once, then count each based pattern against them.
+a batch of diagrams once, then count each tuple family against them.
 A single diagram is a batch of one; evaluate_many and the move-invariance
 loops pass many. Formulas are compiled once per orientation (memoized
-per formula tuple) into their distinct based patterns and an integer
-coefficient map, so a pattern that several terms share is counted
-once per batch; each based pattern is a Term of the roles, steps and
-ends the kernel reads. Arrow patterns ignore the base point: their count
-sums the based counts of the pattern's rotations (by inclusion-exclusion
-where rotations of one configuration differ only in sign constraints),
-which the compiled plan lists as based patterns of their own.
+per formula tuple) into based patterns, each a Term of the roles, steps
+and ends the kernel reads. Arrow patterns ignore the base point: their
+count sums the based counts of the pattern's rotations (by
+inclusion-exclusion where rotations of one configuration differ only in
+sign constraints), each a based pattern of its own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
 (chords, or arrows read as chords: the tables negate the signs of arrows
 per the arrow rule, no copy per diagram) are in smaller-endpoint order;
 for i < j the relation of i to j is SEQ, CROSS or NEST as hi_i lies in
-(0, lo_j), (lo_j, hi_j) or (hi_j, 2n+1). A term's roles 2..k are realized
-as index tuples: every item for k = 2, else the pair list of the roles-2/3
-relation joined with the pair list of each next consecutive relation and
-filtered by the others. Role 1 enters through a prefix-sum table F[j, r]
-(its filter summed over items i < j whose hi has rank below r among the
-his): two lookups per tuple, at the tuple endpoints next to role 1's hi in
-the pattern. Tables take O(n^2) time and memory, joins time linear in the
+(0, lo_j), (lo_j, hi_j) or (hi_j, 2n+1). A pattern's roles 2..k are
+realized as index tuples: every item for k = 2, else the pair list of the
+roles-2/3 relation joined with the pair list of each next consecutive
+relation and filtered by the others. Role 1 enters through a prefix-sum
+table F[j, r] (its filter summed over items i < j whose hi has rank below
+r among the his), read at the tuple endpoints next to role 1's hi: a
+based count is the difference of two columns, each a sum over tuples of
+their weight times one lookup. Patterns that share steps and roles 2..k
+read the same tuples and form a family; each formula's coefficients fold
+onto the family's columns (one int64 formulas x columns matrix per
+family, cancelled columns dropped), so a family is one pass over its
+tuples. Tables take O(n^2) time and memory, joins time linear in the
 tuples they build, on at most _BLOCK + n candidates at a time, so memory
 stays O(n^2 + k^2 _BLOCK). Sums are exact (int32 tables, int64 totals).
 
 A batch stacks its diagrams along a leading axis, each padded with sign-0
 items, which fail every role filter, to m = (largest n) + 1 items: one set
-of tables and one pass per based pattern serve every diagram, and tuples
-come out diagram-major, so per-diagram totals are cut out of one int64
-running sum. The tables of a batch take O(B m^2) memory; _evaluate splits
-its input in order into batches of at most _BATCH_ELEMENTS padded relation
+of tables and one pass per family serve every diagram, and tuples come
+out diagram-major, so per-diagram totals are cut out of int64 running
+sums. The tables of a batch take O(B m^2) memory; _evaluate splits its
+input in order into batches of at most _BATCH_ELEMENTS padded relation
 codes (a larger diagram goes alone).
 
 An independent brute-force oracle in oracle.py shares no code with this.
@@ -60,6 +63,7 @@ from .patterns import (
     Pattern,
     PatternKind,
     mirror_pattern,
+    pattern_violations,
 )
 
 SEQ, NEST, CROSS = 0, 1, 2
@@ -85,7 +89,7 @@ LO, HI, BOTTOM, TOP = 0, 1, 2, 3
 
 
 class Term(NamedTuple):
-    """A based pattern compiled to the fields DiagramTables.count reads.
+    """A based pattern compiled to the fields the kernel reads.
 
     ``roles`` holds per role (the pattern chords in lo-order) its sign
     constraint and, for arrow patterns, whether it points forward (else
@@ -99,6 +103,22 @@ class Term(NamedTuple):
     roles: tuple[tuple[int, bool | None], ...]
     steps: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     ends: tuple[tuple[int, int], tuple[int, int]]
+
+
+class Family(NamedTuple):
+    """Based patterns that share steps and roles 2..k (``roles``), folded
+    onto one coefficient matrix: what DiagramTables.count reads.
+
+    A pattern counts the tuples' weights times role 1's items between its
+    two ends: the difference of two columns (role-1 filter, position, LO,
+    HI or TOP), each counting role 1's items below that end; BOTTOM reads
+    0. Row f of the int64 ``matrix`` holds formula f's column coefficients.
+    """
+
+    steps: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    roles: tuple[tuple[int, bool | None], ...]
+    columns: tuple[tuple[tuple[int, bool | None], int, int], ...]
+    matrix: np.ndarray
 
 
 def _term(p: Pattern) -> Term:
@@ -259,42 +279,51 @@ class DiagramTables:
             grown, new = grown[keep], new[keep]
             yield from self._grow((*(t[grown] for t in tuples), new), rest)
 
-    def count(self, term: Term) -> np.ndarray:
-        """Per-diagram sums over index tuples i1<i2<...<ik realizing the
-        based pattern, as an int64 array of one total per diagram.
+    def count(self, family: Family) -> np.ndarray:
+        """The family's formula values, an int64 array of shape (formulas,
+        diagrams): the matrix times the per-diagram column sums.
 
-        A tuple realizes the term when its pairwise relations are the
-        pattern's and each item passes its role's filter (sign constraint
-        and, for arrow patterns, direction). It weighs the product of its
-        items' weights. Relations among roles 2..k fix their endpoint
-        order, so an item before role 2 fits role 1 exactly when its hi
-        lies between term.ends. Tuples come diagram-major, so cuts on their
-        first index split the sums.
+        The family's index tuples are enumerated once. A tuple realizes
+        roles 2..k when its pairwise relations are the pattern's and each
+        item passes its role's filter (sign constraint and, for arrow
+        patterns, direction); it weighs the product of their weights. Their
+        relations fix their endpoint order, so an item before role 2 counts
+        in a column exactly when its hi ranks below the column's end: one
+        prefix-table lookup per tuple. Tuples come diagram-major, so cuts on
+        their first index split the sums. A lone diagram's columns are
+        summed one at a time; a batch, whose size bounds its tuples, cuts
+        the running sums of all columns of a block at once.
         """
-        k = len(term.roles)
-        if k == 1:
-            u = self._role(term.roles[0])
-            return u.reshape(self.batch, self.m).sum(axis=1, dtype=np.int64)
-        seed = (self.items,) if k == 2 else self._pair_list(term.steps[0][0])
-        blocks = self._grow(seed, term.steps[1:])
-        (b0, s0), (b1, s1) = term.ends
-        table = self._prefix(term.roles[0])
-        flat = table.ravel()
-        totals = np.zeros(self.batch, dtype=np.int64)
-        for tuples in blocks:
-            # Role 1's items before each tuple, between its two ends.
-            base = tuples[0] * table.shape[1]
-            w = flat[base + self.ends[s1][tuples[b1]]]
-            w = w - flat[base + self.ends[s0][tuples[b0]]]
-            for role, t in zip(term.roles[1:], tuples):
+        sums = np.zeros((len(family.columns), self.batch), dtype=np.int64)
+        if not family.roles:
+            for c, (role, _, _) in enumerate(family.columns):
+                u = self._role(role).reshape(self.batch, self.m)
+                sums[c] = u.sum(axis=1, dtype=np.int64)
+            return family.matrix @ sums
+        steps = family.steps
+        seed = (self.items,) if not steps else self._pair_list(steps[0][0])
+        flats = [self._prefix(role).ravel() for role, _, _ in family.columns]
+        for tuples in self._grow(seed, steps[1:]):
+            w = self._role(family.roles[0])[tuples[0]]
+            for role, t in zip(family.roles[1:], tuples[1:]):
                 w = w * self._role(role)[t]
+            base = tuples[0] * (self.m + 1)
+            columns = zip(family.columns, flats)
             if self.batch == 1:
-                totals[0] += w.sum(dtype=np.int64)
-            else:
-                cuts = np.searchsorted(tuples[0], self._firsts)
-                sums = np.concatenate(([0], np.cumsum(w, dtype=np.int64)))
-                totals += sums[cuts[1:]] - sums[cuts[:-1]]
-        return totals
+                for c, ((_, b, s), flat) in enumerate(columns):
+                    v = w * flat[base + self.ends[s][tuples[b]]]
+                    sums[c, 0] += v.sum(dtype=np.int64)
+                    del v  # before the next column's arrays are built
+                continue
+            # Cut every column's running sums at each diagram's first tuple.
+            runs = np.zeros((len(sums), len(w) + 1), dtype=np.int64)
+            for c, ((_, b, s), flat) in enumerate(columns):
+                np.multiply(w, flat[base + self.ends[s][tuples[b]]],
+                            out=runs[c, 1:])
+            runs.cumsum(axis=1, out=runs)
+            cuts = np.searchsorted(tuples[0], self._firsts)
+            sums += runs[:, cuts[1:]] - runs[:, cuts[:-1]]
+        return family.matrix @ sums
 
 
 def _rotations(p: Pattern) -> list[Pattern]:
@@ -355,27 +384,42 @@ def _based_counts(p: Pattern) -> list[tuple[Term, int]]:
 @functools.lru_cache(maxsize=1 << 12)
 def _plan(
     formulas: tuple[Formula, ...], orientation: Orientation
-) -> tuple[tuple, tuple]:
-    """Compile formulas into (distinct based counts, coefficient rows).
+) -> tuple[Family, ...]:
+    """Compile formulas into the families of their based counts.
 
-    Row f lists (index, coefficient) pairs with formula f's value equal to
-    the sum of coefficient times the count at that index. Clockwise
+    Each term's based counts are grouped by the index tuples they read
+    (steps and roles 2..k) and folded onto the family's columns: a based
+    count adds its coefficient to the column of its upper end and takes it
+    from the column of its lower one. Columns whose coefficients all cancel
+    are dropped, and so are families left without a column. Clockwise
     orientation reads the templates mirrored. The cache holds thousands of
     plans, so callers that count many one-term formulas (one per pattern)
-    compile each pattern once.
+    compile each pattern once. Raises ValueError on an invalid pattern.
     """
-    index: dict[Term, int] = {}
-    rows = []
-    for f in formulas:
-        row: dict[int, int] = {}
-        for coeff, p in f.terms:
+    folded: dict[tuple, dict[tuple, list[int]]] = {}
+    for f, formula in enumerate(formulas):
+        for coeff, p in formula.terms:
+            problems = pattern_violations(p)
+            if problems:
+                raise ValueError("invalid pattern: " + "; ".join(problems))
             if orientation is Orientation.CW:
                 p = mirror_pattern(p)
-            for based, m in _based_counts(p):
-                i = index.setdefault(based, len(index))
-                row[i] = row.get(i, 0) + m * coeff
-        rows.append(tuple(row.items()))
-    return tuple(index), tuple(rows)
+            for term, m in _based_counts(p):
+                columns = folded.setdefault((term.steps, term.roles[1:]), {})
+                for (b, s), sign in zip(term.ends, (-1, 1)):
+                    if s == BOTTOM:
+                        continue
+                    column = (term.roles[0], 0 if s == TOP else b, s)
+                    row = columns.setdefault(column, [0] * len(formulas))
+                    row[f] += sign * m * coeff
+    families = []
+    for (steps, roles), columns in folded.items():
+        kept = {c: row for c, row in columns.items() if any(row)}
+        if kept:
+            matrix = np.array(list(kept.values()), dtype=np.int64).T
+            matrix.flags.writeable = False
+            families.append(Family(steps, roles, tuple(kept), matrix))
+    return tuple(families)
 
 
 # Most padded relation codes (diagrams times m^2) one batch of tables
@@ -399,6 +443,24 @@ def _batches(diagrams):
         yield batch
 
 
+def _fit(d, kind: PatternKind, conv: Convention | None, mode: EvalMode | None):
+    """d, when formulas of this kind can count it (_evaluate's check of each
+    diagram); else KindMismatchError (under a convention, chord formulas
+    read arrow diagrams as chords), or ValueError for chord formulas
+    without a mode."""
+    if kind is PatternKind.ARROW:
+        if not isinstance(d, ArrowDiagram):
+            raise KindMismatchError("arrow formula needs an arrow diagram")
+        return d
+    if not isinstance(d, SignedChordDiagram) and (
+        conv is None or not isinstance(d, ArrowDiagram)
+    ):
+        raise KindMismatchError("chord formula needs a signed chord diagram")
+    if mode is None:
+        raise ValueError("chord formulas need an explicit EvalMode")
+    return d
+
+
 def _evaluate(
     kind: PatternKind,
     formulas: tuple[Formula, ...],
@@ -410,42 +472,28 @@ def _evaluate(
     tuple per diagram, in order.
 
     Checks that every formula term is of the caller's kind and that each
-    diagram fits it (under a convention, the tables read arrows as chords
-    for chord formulas); then, per batch of diagrams, counts each
-    distinct based pattern of the compiled formulas once on one set of
-    stacked tables and applies the coefficient map. A match weighs the
-    product of its signs for arrow formulas and for chord formulas in
-    weighted mode, else 1. Diagrams are read lazily, one batch (plus the
-    diagram that opens the next) at a time, so a caller that stops early
-    stops the work producing them. Without a convention, templates are
-    read as given (counterclockwise) and arrow diagrams are never
-    switched.
+    diagram fits it (_fit); then, per batch of diagrams, counts each family
+    of the compiled formulas once on one set of stacked tables and adds up
+    the families' values. A match weighs the product of its signs for
+    arrow formulas and for chord formulas in weighted mode, else 1.
+    Diagrams are read lazily, one batch (plus the diagram that opens the
+    next) at a time, so a caller that stops early stops the work producing
+    them. Without a convention, templates are read as given
+    (counterclockwise) and arrow diagrams are never switched.
     """
     if any(p.kind is not kind for f in formulas for _, p in f.terms):
         raise KindMismatchError(f"expected {kind.value} patterns")
-    rule, weighted, modeless = None, True, False
-    accepted, refusal = ArrowDiagram, "arrow formula needs an arrow diagram"
-    if kind is PatternKind.CHORD:
-        accepted = SignedChordDiagram
-        refusal = "chord formula needs a signed chord diagram"
-        weighted, modeless = mode is EvalMode.WEIGHTED, mode is None
-        if conv is not None:
-            rule, accepted = conv.arrow_rule, (SignedChordDiagram, ArrowDiagram)
-
-    def fit(d):
-        if not isinstance(d, accepted):
-            raise KindMismatchError(refusal)
-        if modeless:
-            raise ValueError("chord formulas need an explicit EvalMode")
-        return d
-
+    chord = kind is PatternKind.CHORD
+    rule = conv.arrow_rule if chord and conv is not None else None
+    weighted = not chord or mode is EvalMode.WEIGHTED
     orientation = Orientation.CCW if conv is None else conv.orientation
-    based, rows = _plan(formulas, orientation)
-    for batch in _batches(map(fit, diagrams)):
+    families = _plan(formulas, orientation)
+    for batch in _batches(_fit(d, kind, conv, mode) for d in diagrams):
         tables = DiagramTables(batch, rule, weighted)
-        counts = [tables.count(t).tolist() for t in based]
-        for b in range(len(batch)):
-            yield tuple(sum(c * counts[i][b] for i, c in row) for row in rows)
+        values = np.zeros((len(formulas), len(batch)), dtype=np.int64)
+        for family in families:
+            values += tables.count(family)
+        yield from map(tuple, values.T.tolist())
 
 
 def _single(p: Pattern) -> tuple[Formula]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import curveinv
+from curveinv import counting
 from curveinv.cli import main
 
 TORUS3 = "arrows; n=3; 1>4:+ 5>2:+ 3>6:+"
@@ -389,10 +390,45 @@ def test_eval_refuses_invalid_record(capsys, record, stderr):
 
 
 def test_eval_keeps_values_printed_before_an_invalid_record(tmp_path, capsys):
+    # A record read from a file names its line, as fuzz seeds' refusals do.
     f = tmp_path / "diagrams.txt"
     f.write_text("chords; n=2; 1-3:+ 2-4:+\n" + BAD_N + "\n")
     code, out, err = run(capsys, "eval", "--formula", "I2_1", str(f))
-    assert (code, out, err) == (2, "-1\n", BAD_N_ERR)
+    assert (code, out, err) == (2, "-1\n", "error: line 2: " + BAD_N_ERR[7:])
+
+
+MIXED = ["# three good records, then a bad one, then one never read",
+         TORUS3, "", TORUS5, TORUS3]
+
+
+@pytest.mark.parametrize(
+    "formula,bad,values,stderr",
+    [
+        ("I2_1", BAD_N, "1\n2\n1\n", "error: line 6: " + BAD_N_ERR[7:]),
+        ("I2_1", "arrows; n=1; 1>1:+", "1\n2\n1\n",
+         "error: line 6, col 16: chord endpoints equal at slot 1\n"),
+        ("T := +[1>4,5>2,3>6]", "chords; n=1; 1-2:+", "1\n5\n1\n",
+         "error: arrow formula needs an arrow diagram\n"),
+    ],
+)
+def test_eval_file_prints_the_values_before_its_first_bad_record(
+    tmp_path, capsys, monkeypatch, formula, bad, values, stderr
+):
+    # The records before the first bad one are counted in one batch (one
+    # table set) and printed; then the bad one is refused.
+    f = tmp_path / "diagrams.txt"
+    f.write_text("\n".join(MIXED + [bad, TORUS3]) + "\n")
+    built = []
+    init = counting.DiagramTables.__init__
+
+    def recording(self, diagrams, rule, weighted):
+        built.append(len(diagrams))
+        init(self, diagrams, rule, weighted)
+
+    monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
+    code, out, err = run(capsys, "eval", "--formula", formula, str(f))
+    assert (code, out, err) == (2, values, stderr)
+    assert built == [3]
 
 
 def test_replay_refuses_invalid_record(tmp_path, capsys):
@@ -400,6 +436,10 @@ def test_replay_refuses_invalid_record(tmp_path, capsys):
     log.write_text("")
     code, out, err = run(capsys, "replay", "--code", BAD_N, "--log", str(log))
     assert (code, out, err) == (2, "", BAD_N_ERR)
+    f = tmp_path / "start.txt"
+    f.write_text("# start\n" + BAD_N + "\n")
+    code, out, err = run(capsys, "replay", str(f), "--log", str(log))
+    assert (code, out, err) == (2, "", "error: line 2: " + BAD_N_ERR[7:])
 
 
 def test_fuzz_refuses_invalid_seed_record(tmp_path, capsys):
@@ -407,4 +447,4 @@ def test_fuzz_refuses_invalid_seed_record(tmp_path, capsys):
     f.write_text(TORUS3 + "\n" + OUT_OF_RANGE + "\n")
     code, out, err = run(capsys, "fuzz", "--seeds", str(f), "--trials", "2",
                          "--depth", "3")
-    assert (code, out, err) == (2, "", OUT_OF_RANGE_ERR)
+    assert (code, out, err) == (2, "", "error: line 2: " + OUT_OF_RANGE_ERR[7:])

@@ -28,6 +28,7 @@ from curveinv import (
     mirror_formula,
     parse_diagram,
     parse_pattern,
+    serialize_pattern,
     triangle_candidates,
 )
 from curveinv import counting
@@ -679,3 +680,87 @@ def test_counting_a_pattern_again_compiles_nothing(monkeypatch):
     again = [count_embeddings(p, d, EvalMode.WEIGHTED) for p in patterns]
     assert again == first
     assert compiled == []
+
+
+
+SHORT_CHORDS = Pattern(k=2, kind=PatternKind.CHORD, chords=((1, 2, ANY),))
+BAD_SIGN_ARROWS = Pattern(
+    k=2, kind=PatternKind.ARROW, chords=((1, 3, ANY), (4, 2, 5))
+)
+
+
+@pytest.mark.parametrize("count,p,d", [
+    (lambda p, d: count_embeddings(p, d, EvalMode.WEIGHTED),
+     SHORT_CHORDS, ALL_INTERLEAVED_3),
+    (lambda p, d: evaluate_all(
+        [Formula("X", ((1, CROSSED), (2, p)))], d, Convention()
+    ), SHORT_CHORDS, ALL_INTERLEAVED_3),
+    (count_arrow_pattern, BAD_SIGN_ARROWS, gen_torus(3).diagram),
+    (lambda p, d: count_arrow_with_convention(
+        p, d, Convention(Orientation.CW)
+    ), BAD_SIGN_ARROWS, gen_torus(3).diagram),
+])
+def test_hand_built_invalid_patterns_are_refused_before_compiling(count, p, d):
+    # Every counter compiles through _plan, which refuses an invalid
+    # pattern with serialize_pattern's text; the first pattern once raised
+    # a KeyError inside the compiler.
+    with pytest.raises(ValueError) as want:
+        serialize_pattern(p)
+    with pytest.raises(ValueError) as got:
+        count(p, d)
+    assert got.type is ValueError
+    assert str(got.value) == str(want.value)
+    assert str(got.value) in (
+        "invalid pattern: expected 2 chords, found 1; slot 3 unused; "
+        "slot 4 unused",
+        "invalid pattern: bad sign constraint 5",
+    )
+
+
+def test_i3_4_compiles_to_one_top_column_per_family():
+    # 6 * I3_4 = S - S^3 in the kernel's form: its 21 terms telescope to
+    # one column per family, each reading role 1's items below the top.
+    f = builtin_formula("I3_4")
+    assert len(f.terms) == 21
+    for orientation in Orientation:
+        families = counting._plan((f,), orientation)
+        assert len(families) == 5
+        for family in families:
+            assert len(family.columns) == 1
+            assert family.columns[0][2] == counting.TOP
+            assert family.matrix.shape == (1, 1)
+
+
+def test_six_builtins_count_each_family_once_per_batch(
+    monkeypatch, formulas, conv
+):
+    # 53 terms, 25 distinct based patterns, 6 tuple families: a batch of
+    # calibrate-sized diagrams makes one kernel call per family.
+    based = {
+        t for f in formulas for _, p in f.terms
+        for t, _ in counting._based_counts(p)
+    }
+    assert sum(len(f.terms) for f in formulas) == 53 and len(based) == 25
+    assert len(counting._plan(tuple(formulas), conv.orientation)) == 6
+    rng = random.Random(624)
+    ds = [random_arrow_diagram(rng, max_n=7) for _ in range(20)]
+    calls = []
+    count = counting.DiagramTables.count
+
+    def recording(self, family):
+        calls.append(self.batch)
+        return count(self, family)
+
+    monkeypatch.setattr(counting.DiagramTables, "count", recording)
+    values = evaluate_many(formulas, ds, conv)
+    assert calls == [len(ds)] * 6
+    monkeypatch.undo()
+    assert values == [
+        tuple(
+            sum(c * count_embeddings_oracle(p, arrows_to_chords(d, conv),
+                                            conv.eval_mode)
+                for c, p in f.terms)
+            for f in formulas
+        )
+        for d in ds
+    ]
