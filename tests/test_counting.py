@@ -682,7 +682,6 @@ def test_counting_a_pattern_again_compiles_nothing(monkeypatch):
     assert compiled == []
 
 
-
 SHORT_CHORDS = Pattern(k=2, kind=PatternKind.CHORD, chords=((1, 2, ANY),))
 BAD_SIGN_ARROWS = Pattern(
     k=2, kind=PatternKind.ARROW, chords=((1, 3, ANY), (4, 2, 5))
