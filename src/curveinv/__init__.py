@@ -5,7 +5,6 @@ from .counting import (
     count_arrow_pattern,
     count_arrow_with_convention,
     count_embeddings,
-    evaluate,
     evaluate_all,
     evaluate_many,
     evaluate_with_convention,

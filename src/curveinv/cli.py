@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .counting import KindMismatchError, _evaluate, _fit, evaluate_many
+from .counting import KindMismatchError, evaluate_many
 from .diagrams import (
     ArrowDiagram,
     ArrowRule,
@@ -85,20 +85,11 @@ def _cmd_eval(args) -> int:
         formula = parse_formula(args.formula)
     else:
         formula = builtin_formula(args.formula)
-    # The records before the first bad one are evaluated in one batch,
-    # printed, and then the bad one is refused.
-    kind, mode = formula.kind, conv.eval_mode
-    diagrams, refusal = [], None
-    for lineno, raw in _read_records(args):
-        try:
-            diagrams.append(_fit(_parse_record(lineno, raw), kind, conv, mode))
-        except (ValueError, KindMismatchError) as exc:
-            refusal = exc
-            break
-    for (value,) in _evaluate(kind, (formula,), diagrams, conv, mode):
+    # Every record before the first bad one is evaluated and printed, then
+    # the bad one is refused.
+    diagrams = (_parse_record(*record) for record in _read_records(args))
+    for (value,) in evaluate_many((formula,), diagrams, conv):
         print(value)
-    if refusal is not None:
-        raise refusal
     return 0
 
 
@@ -168,10 +159,10 @@ def _cmd_table(args) -> int:
     conv = _convention_from(args)
     formulas = builtin_formulas()
     print("k " + " ".join(FORMULA_NAMES))
-    rows = evaluate_many(formulas, [
+    rows = list(evaluate_many(formulas, [
         gen_cabc(args.r, args.b0 + k, args.c0 + k).diagram
         for k in range(1, args.kmax + 1)
-    ], conv)
+    ], conv))
     for k, vals in enumerate(rows, 1):
         print(f"{k} " + " ".join(str(v) for v in vals))
     distinct = len(set(rows)) == len(rows)

@@ -1,14 +1,15 @@
 """Optimized pattern counting and formula evaluation.
 
-Every public counter and evaluator runs one path: build DiagramTables for
-a batch of diagrams once, then count each tuple family against them.
-A single diagram is a batch of one; evaluate_many and the move-invariance
-loops pass many. Formulas are compiled once per orientation (memoized
-per formula tuple) into based patterns, each a Term of the roles, steps
-and ends the kernel reads. Arrow patterns ignore the base point: their
-count sums the based counts of the pattern's rotations (by
-inclusion-exclusion where rotations of one configuration differ only in
-sign constraints), each a based pattern of its own.
+evaluate_many is the one evaluator: it builds DiagramTables for a batch of
+diagrams once, then counts each tuple family against them. The pattern
+counters (count_embeddings, count_arrow_pattern, which the oracle mirrors)
+and the one-diagram views are calls to it with a batch of one. Formulas
+are compiled once per orientation (memoized per formula tuple) into based
+patterns, each a Term of the roles, steps and ends the kernel reads.
+Arrow patterns ignore the base point: their count sums the based counts
+of the pattern's rotations (by inclusion-exclusion where rotations of one
+configuration differ only in sign constraints), each a based pattern of
+its own.
 
 The kernel is exact and has one path for every degree k >= 2. Items
 (chords, or arrows read as chords: the tables negate the signs of arrows
@@ -32,8 +33,8 @@ stays O(n^2 + k^2 _BLOCK). Sums are exact (int32 tables, int64 totals).
 A batch stacks its diagrams along a leading axis, each padded with sign-0
 items, which fail every role filter, to m = (largest n) + 1 items: one set
 of tables and one pass per family serve every diagram, and tuples come
-out diagram-major, so per-diagram totals are cut out of int64 running
-sums. The tables of a batch take O(B m^2) memory; _evaluate splits its
+out diagram-major, so per-diagram totals are int64 sums over runs of
+tuples. The tables of a batch take O(B m^2) memory; evaluate_many splits its
 input in order into batches of at most _BATCH_ELEMENTS padded relation
 codes (a larger diagram goes alone).
 
@@ -43,6 +44,7 @@ An independent brute-force oracle in oracle.py shares no code with this.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from itertools import combinations
 from typing import NamedTuple
 
@@ -85,7 +87,7 @@ def _signature(matching: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 # n): the memory bound of degree >= 4 counts.
 _BLOCK = 1 << 16
 
-LO, HI, BOTTOM, TOP = 0, 1, 2, 3
+LO, HI, TOP, BOTTOM = 0, 1, 2, 3
 
 
 class Term(NamedTuple):
@@ -149,17 +151,17 @@ class DiagramTables:
     items with sign-0 chords at slots (2i+1, 2i+2) after its last slot, so
     it ends in a padding item. Item j of diagram b has global index b*m + j,
     in smaller-endpoint order. codes[b*m + j, l] (int8) is the relation of
-    j to a later real item l of the diagram, else -1. ends[LO], ends[HI],
-    ends[BOTTOM] and ends[TOP] hold per global item the hi ranks of its lo
-    and hi, 0 and m, where the hi rank of an endpoint is the number of its
-    diagram's items, padding included, whose hi lies below it. Items keep
-    their direction (chords point forward) for arrow patterns; given an
-    arrow rule, each arrow whose direction the rule negates has its sign
-    negated, as arrows_to_chords does. weights holds per item what a match
-    weighs: its sign when weighted, else sign != 0, so padding weighs 0 and
-    never counts. Role filters, role-1 prefix tables (_prefix) and each
-    relation's pair list are built on first use and kept. Memory is
-    O(B*m^2).
+    j to a later real item l of the diagram, else -1. ends[LO], ends[HI]
+    and ends[TOP] hold per global item the hi ranks of its lo and hi, and
+    m, where the hi rank of an endpoint is the number of its diagram's
+    items, padding included, whose hi lies below it; no column reads
+    BOTTOM. Items keep their direction (chords point forward) for arrow
+    patterns; given an arrow rule, each arrow whose direction the rule
+    negates has its sign negated, as arrows_to_chords does. weights holds
+    per item what a match weighs: its sign when weighted, else sign != 0,
+    so padding weighs 0 and never counts. Role filters, role-1 prefix
+    tables (_prefix) and each relation's pair list are built on first use
+    and kept. Memory is O(B*m^2).
     """
 
     def __init__(self, diagrams, rule: ArrowRule | None, weighted: bool):
@@ -196,7 +198,7 @@ class DiagramTables:
         self._firsts = np.arange(0, batch * m + 1, m)
         # Hi ranks of lo and hi: a global rank less the diagram's first index.
         his, firsts = np.sort(hi), self._firsts[:-1].repeat(m)
-        self.ends = ends = np.zeros((4, batch * m), dtype=np.intp)
+        self.ends = ends = np.empty((3, batch * m), dtype=np.intp)
         ends[LO] = his.searchsorted(lo) - firsts
         ends[HI] = his.searchsorted(hi) - firsts
         ends[TOP] = m
@@ -289,10 +291,9 @@ class DiagramTables:
         patterns, direction); it weighs the product of their weights. Their
         relations fix their endpoint order, so an item before role 2 counts
         in a column exactly when its hi ranks below the column's end: one
-        prefix-table lookup per tuple. Tuples come diagram-major, so cuts on
-        their first index split the sums. A lone diagram's columns are
-        summed one at a time; a batch, whose size bounds its tuples, cuts
-        the running sums of all columns of a block at once.
+        prefix-table lookup per tuple. Tuples come diagram-major, so each
+        column of a block is summed per diagram by one reduceat from the
+        first tuple of every diagram the block reaches.
         """
         sums = np.zeros((len(family.columns), self.batch), dtype=np.int64)
         if not family.roles:
@@ -308,21 +309,14 @@ class DiagramTables:
             for role, t in zip(family.roles[1:], tuples[1:]):
                 w = w * self._role(role)[t]
             base = tuples[0] * (self.m + 1)
-            columns = zip(family.columns, flats)
-            if self.batch == 1:
-                for c, ((_, b, s), flat) in enumerate(columns):
-                    v = w * flat[base + self.ends[s][tuples[b]]]
-                    sums[c, 0] += v.sum(dtype=np.int64)
-                    del v  # before the next column's arrays are built
-                continue
-            # Cut every column's running sums at each diagram's first tuple.
-            runs = np.zeros((len(sums), len(w) + 1), dtype=np.int64)
-            for c, ((_, b, s), flat) in enumerate(columns):
-                np.multiply(w, flat[base + self.ends[s][tuples[b]]],
-                            out=runs[c, 1:])
-            runs.cumsum(axis=1, out=runs)
+            # Each diagram's first tuple, and the diagrams the block reaches.
             cuts = np.searchsorted(tuples[0], self._firsts)
-            sums += runs[:, cuts[1:]] - runs[:, cuts[:-1]]
+            reached = (cuts[1:] > cuts[:-1]).nonzero()[0]
+            for c, ((_, b, s), flat) in enumerate(zip(family.columns, flats)):
+                sums[c, reached] += np.add.reduceat(
+                    w * flat[base + self.ends[s][tuples[b]]],
+                    cuts[reached], dtype=np.int64,
+                )
         return family.matrix @ sums
 
 
@@ -354,7 +348,7 @@ def _meet(constraints) -> tuple[int, ...] | None:
 def _based_counts(p: Pattern) -> list[tuple[Term, int]]:
     """(term, multiplicity) pairs: p's count is the sum of multiplicity
     times the based count, on tables weighted as p's kind and the eval mode
-    require (see _evaluate).
+    require (see evaluate_many).
 
     Chord patterns are based. Arrow patterns ignore the base point.
     A k-subset of arrows has one based configuration, and it matches when
@@ -430,75 +424,88 @@ _BATCH_ELEMENTS = 1 << 14
 
 def _batches(diagrams):
     """Split diagrams, in order, into runs of at most _BATCH_ELEMENTS
-    padded relation codes (B * m^2, m the run's largest n plus one)."""
+    padded relation codes (B * m^2, m the run's largest n plus one). When
+    reading a diagram raises, the run read before it comes out first."""
     batch, m = [], 0
-    for d in diagrams:
-        grown = max(m, d.n + 1)
-        if batch and (len(batch) + 1) * grown * grown > _BATCH_ELEMENTS:
+    try:
+        for d in diagrams:
+            grown = max(m, d.n + 1)
+            if batch and (len(batch) + 1) * grown * grown > _BATCH_ELEMENTS:
+                yield batch
+                batch, grown = [], d.n + 1
+            batch.append(d)
+            m = grown
+    except Exception:
+        if batch:
             yield batch
-            batch, grown = [], d.n + 1
-        batch.append(d)
-        m = grown
+        raise
     if batch:
         yield batch
 
 
-def _fit(d, kind: PatternKind, conv: Convention | None, mode: EvalMode | None):
-    """d, when formulas of this kind can count it (_evaluate's check of each
-    diagram); else KindMismatchError (under a convention, chord formulas
-    read arrow diagrams as chords), or ValueError for chord formulas
-    without a mode."""
+def _fit(d, kind: PatternKind):
+    """d, when formulas of this kind can count it; else KindMismatchError.
+    Chord formulas read arrow diagrams as chords."""
     if kind is PatternKind.ARROW:
         if not isinstance(d, ArrowDiagram):
             raise KindMismatchError("arrow formula needs an arrow diagram")
-        return d
-    if not isinstance(d, SignedChordDiagram) and (
-        conv is None or not isinstance(d, ArrowDiagram)
-    ):
+    elif not isinstance(d, (SignedChordDiagram, ArrowDiagram)):
         raise KindMismatchError("chord formula needs a signed chord diagram")
-    if mode is None:
-        raise ValueError("chord formulas need an explicit EvalMode")
     return d
 
 
-def _evaluate(
-    kind: PatternKind,
-    formulas: tuple[Formula, ...],
+def evaluate_many(
+    formulas: tuple[Formula, ...] | list[Formula],
     diagrams,
-    conv: Convention | None,
-    mode: EvalMode | None,
-):
-    """The one evaluator behind every public counter: yields one value
-    tuple per diagram, in order.
+    conv: Convention,
+) -> Iterator[tuple[int, ...]]:
+    """Evaluate formulas of one kind on diagrams under a convention: an
+    iterator of one value tuple per diagram, in order.
 
-    Checks that every formula term is of the caller's kind and that each
-    diagram fits it (_fit); then, per batch of diagrams, counts each family
-    of the compiled formulas once on one set of stacked tables and adds up
-    the families' values. A match weighs the product of its signs for
-    arrow formulas and for chord formulas in weighted mode, else 1.
+    The formulas are checked and compiled when this is called: mixed chord
+    and arrow patterns raise KindMismatchError, an invalid pattern
+    ValueError. Clockwise orientation reads the templates mirrored. A
+    match weighs the product of its signs for arrow formulas and for chord
+    formulas in weighted mode, else 1. Chord formulas read arrow diagrams
+    as chords, each arrow's sign switched per the convention's arrow rule.
+
     Diagrams are read lazily, one batch (plus the diagram that opens the
     next) at a time, so a caller that stops early stops the work producing
-    them. Without a convention, templates are read as given
-    (counterclockwise) and arrow diagrams are never switched.
+    them. Per batch, each family of the compiled formulas is counted once
+    on one set of stacked tables. When reading a diagram raises, or it
+    does not fit the formulas' kind (KindMismatchError), the values of
+    every diagram read before it come out first, then the error.
     """
-    if any(p.kind is not kind for f in formulas for _, p in f.terms):
-        raise KindMismatchError(f"expected {kind.value} patterns")
+    formulas = tuple(formulas)
+    kinds = {p.kind for f in formulas for _, p in f.terms}
+    if len(kinds) > 1:
+        raise KindMismatchError("formulas mix chord and arrow patterns")
+    kind = kinds.pop() if kinds else PatternKind.CHORD
     chord = kind is PatternKind.CHORD
-    rule = conv.arrow_rule if chord and conv is not None else None
-    weighted = not chord or mode is EvalMode.WEIGHTED
-    orientation = Orientation.CCW if conv is None else conv.orientation
-    families = _plan(formulas, orientation)
-    for batch in _batches(_fit(d, kind, conv, mode) for d in diagrams):
-        tables = DiagramTables(batch, rule, weighted)
-        values = np.zeros((len(formulas), len(batch)), dtype=np.int64)
-        for family in families:
-            values += tables.count(family)
-        yield from map(tuple, values.T.tolist())
+    rule = conv.arrow_rule if chord else None
+    weighted = not chord or conv.eval_mode is EvalMode.WEIGHTED
+    families = _plan(formulas, conv.orientation)
+
+    def values():
+        for batch in _batches(_fit(d, kind) for d in diagrams):
+            tables = DiagramTables(batch, rule, weighted)
+            sums = np.zeros((len(formulas), len(batch)), dtype=np.int64)
+            for family in families:
+                sums += tables.count(family)
+            yield from map(tuple, sums.T.tolist())
+
+    return values()
 
 
-def _single(p: Pattern) -> tuple[Formula]:
-    """A lone pattern as a one-term formula, for the pattern counters."""
-    return (Formula("", ((1, p),)),)
+def _count_pattern(p: Pattern, kind: PatternKind, d, conv: Convention) -> int:
+    """One pattern counted on one diagram: the pattern counters' view of
+    evaluate_many, refusing a pattern of another kind and, for chord
+    patterns, an arrow diagram."""
+    if p.kind is not kind:
+        raise KindMismatchError(f"expected {kind.value} patterns")
+    if kind is PatternKind.CHORD and isinstance(d, ArrowDiagram):
+        raise KindMismatchError("chord formula needs a signed chord diagram")
+    return next(evaluate_many((Formula("", ((1, p),)),), [d], conv))[0]
 
 
 def count_embeddings(
@@ -512,7 +519,9 @@ def count_embeddings(
     the mode sets each embedding's weight (1, or the product of matched
     diagram signs).
     """
-    return next(_evaluate(PatternKind.CHORD, _single(p), [d], None, mode))[0]
+    if mode is None:
+        raise ValueError("count_embeddings needs an explicit EvalMode")
+    return _count_pattern(p, PatternKind.CHORD, d, Convention(eval_mode=mode))
 
 
 def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
@@ -523,16 +532,7 @@ def count_arrow_pattern(p: Pattern, d: ArrowDiagram) -> int:
     Each match weighs the product of the matched arrow signs; sign
     constraints, when present, filter matches.
     """
-    return next(_evaluate(PatternKind.ARROW, _single(p), [d], None, None))[0]
-
-
-def evaluate(
-    f: Formula,
-    d: SignedChordDiagram | ArrowDiagram,
-    mode: EvalMode | None = None,
-) -> int:
-    """Evaluate a formula: the coefficient-weighted sum of its term counts."""
-    return next(_evaluate(f.kind, (f,), [d], None, mode))[0]
+    return _count_pattern(p, PatternKind.ARROW, d, Convention())
 
 
 def evaluate_with_convention(
@@ -540,20 +540,15 @@ def evaluate_with_convention(
     d: SignedChordDiagram | ArrowDiagram,
     conv: Convention,
 ) -> int:
-    """Evaluate under a full convention.
-
-    Clockwise orientation reads the formula's templates mirrored; chord
-    formulas applied to arrow diagrams first switch arrows to signed chords
-    per the convention's arrow rule.
-    """
-    return next(_evaluate(f.kind, (f,), [d], conv, conv.eval_mode))[0]
+    """One formula's value on one diagram (see evaluate_many)."""
+    return next(evaluate_many((f,), [d], conv))[0]
 
 
 def count_arrow_with_convention(
     p: Pattern, d: ArrowDiagram, conv: Convention
 ) -> int:
     """count_arrow_pattern with the pattern read under conv's orientation."""
-    return next(_evaluate(PatternKind.ARROW, _single(p), [d], conv, None))[0]
+    return _count_pattern(p, PatternKind.ARROW, d, conv)
 
 
 def evaluate_all(
@@ -561,29 +556,5 @@ def evaluate_all(
     d: SignedChordDiagram | ArrowDiagram,
     conv: Convention,
 ) -> tuple[int, ...]:
-    """Evaluate several chord formulas under one convention, sharing tables.
-
-    Equivalent to evaluate_with_convention per formula but builds the
-    tables only once, and counts each based pattern the formulas share
-    once.
-    """
-    return next(_evaluate(
-        PatternKind.CHORD, tuple(formulas), [d], conv, conv.eval_mode
-    ))
-
-
-def evaluate_many(
-    formulas: tuple[Formula, ...] | list[Formula],
-    diagrams,
-    conv: Convention,
-) -> list[tuple[int, ...]]:
-    """evaluate_all over a sequence of diagrams: one value tuple per
-    diagram, in order.
-
-    Diagrams of any sizes are counted together on stacked tables, in
-    batches of bounded size, so many small diagrams share a few kernel
-    calls per based pattern instead of paying them one by one.
-    """
-    return list(_evaluate(
-        PatternKind.CHORD, tuple(formulas), diagrams, conv, conv.eval_mode
-    ))
+    """Several formulas' values on one diagram (see evaluate_many)."""
+    return next(evaluate_many(formulas, [d], conv))

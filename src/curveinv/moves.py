@@ -31,7 +31,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, count, islice, tee
 
-from .counting import _evaluate
+from .counting import KindMismatchError, evaluate_many
 from .diagrams import ArrowDiagram, Convention, CurveDiagram, serialize_diagram
 from .patterns import _INT_RE, PatternKind
 
@@ -407,10 +407,11 @@ def value_changes(formulas, d0, walked, conv: Convention):
     first = next(walked, None)
     if first is None:
         return
+    if any(p.kind is PatternKind.ARROW for f in formulas for _, p in f.terms):
+        raise KindMismatchError("expected chord patterns")
     walked, tagged = tee(chain([first], walked))
-    values = _evaluate(
-        PatternKind.CHORD, tuple(formulas),
-        chain([d0], (d for d, _ in walked)), conv, conv.eval_mode,
+    values = evaluate_many(
+        formulas, chain([d0], (d for d, _ in walked)), conv
     )
     before = next(values)
     for after, (_, tag) in zip(values, tagged):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 
-from .counting import _evaluate
+from .counting import evaluate_many
 from .diagrams import (
     ArrowRule,
     Convention,
@@ -194,12 +194,10 @@ def calibrate(
     passing = {}  # orientation -> indices of the candidates passing (b)
     for orientation in Orientation:
         # The candidates, as one-term formulas, are counted in one batch.
-        counts = _evaluate(
-            PatternKind.ARROW,
-            tuple(Formula("", ((1, c),)) for c in candidates),
+        counts = evaluate_many(
+            [Formula("", ((1, c),)) for c in candidates],
             braids,
             Convention(orientation),
-            None,
         )
         passing[orientation] = [
             j for j, row in enumerate(zip(*counts)) if row == (1, 5, 14)

@@ -334,6 +334,10 @@ def test_negative_counts_rejected(capsys, argv):
          "seed file holds no diagrams"),
         (("replay", "--code", "chords; n=1; 1-2:+", "--log", "FILE"), "",
          "replay operates on arrow diagrams"),
+        # The invariance walks of fuzz and calibrate count chord formulas
+        # only; evaluate_many itself would count an arrow formula.
+        (("calibrate", "--registry", "FILE"), "T := [1>4,5>2,3>6]\n",
+         "expected chord patterns"),
     ],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):

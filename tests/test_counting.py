@@ -26,6 +26,7 @@ from curveinv import (
     gen_cabc,
     gen_torus,
     mirror_formula,
+    mirror_pattern,
     parse_diagram,
     parse_pattern,
     serialize_pattern,
@@ -34,12 +35,10 @@ from curveinv import (
 from curveinv import counting
 from curveinv.counting import (
     KindMismatchError,
-    _evaluate,
     _signature,
     count_arrow_pattern,
     count_arrow_with_convention,
     count_embeddings,
-    evaluate,
     evaluate_all,
     evaluate_many,
     evaluate_with_convention,
@@ -56,6 +55,11 @@ ALL_INTERLEAVED_3 = parse_diagram("chords; n=3; 1-4:+ 2-5:+ 3-6:+")
 CROSSED = parse_pattern("[1-3,2-4]")
 PARALLEL = parse_pattern("[1-2,3-4]")
 MODES = (EvalMode.CONSTRAINED, EvalMode.WEIGHTED)
+
+
+def value(f, d, mode=EvalMode.WEIGHTED):
+    """f's value on d, templates read counterclockwise."""
+    return next(evaluate_many([f], [d], Convention(eval_mode=mode)))[0]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -91,10 +95,10 @@ def test_sign_constraints_filter():
 
 
 def test_evaluate_known_small_values():
-    assert evaluate(builtin_formula("I2_1"), ALL_INTERLEAVED_3, EvalMode.WEIGHTED) == -3
+    assert value(builtin_formula("I2_1"), ALL_INTERLEAVED_3) == -3
     one = parse_diagram("chords; n=1; 1-2:+")
-    assert evaluate(builtin_formula("I2_1"), one, EvalMode.WEIGHTED) == 0
-    assert evaluate(builtin_formula("I3_1"), one, EvalMode.WEIGHTED) == 0
+    assert value(builtin_formula("I2_1"), one) == 0
+    assert value(builtin_formula("I3_1"), one) == 0
 
 
 def test_base_point_sensitivity():
@@ -175,19 +179,19 @@ def test_kind_mismatch_rejected(frozen, conv):
         lambda: count_arrow_pattern(tri, chords),
         lambda: count_arrow_with_convention(CROSSED, arrows, conv),
         lambda: count_arrow_with_convention(tri, chords, conv),
-        lambda: evaluate(chord_formula, arrows, w),
-        lambda: evaluate(arrow_formula, chords),
         lambda: evaluate_with_convention(arrow_formula, chords, conv),
         lambda: evaluate_all([chord_formula, arrow_formula], arrows, conv),
         lambda: evaluate_all([arrow_formula], chords, conv),
         lambda: evaluate_all(
             [Formula("X", ((1, CROSSED), (1, tri)))], chords, conv),
+        lambda: list(evaluate_many([arrow_formula], [arrows, chords], conv)),
+        lambda: list(evaluate_many([chord_formula], [gen_torus(3)], conv)),
     ]
     for call in calls:
         with pytest.raises(KindMismatchError):
             call()
     with pytest.raises(ValueError, match="explicit EvalMode"):
-        evaluate(chord_formula, chords)
+        count_embeddings(CROSSED, chords, None)
 
 
 def test_evaluate_with_convention_mirrors_for_clockwise(formulas):
@@ -203,7 +207,7 @@ def test_evaluate_with_convention_converts_arrows(formulas, conv):
     d = gen_cabc(2, 1, 1).diagram
     c = arrows_to_chords(d, conv)
     for f in formulas:
-        assert evaluate_with_convention(f, d, conv) == evaluate(f, c, conv.eval_mode)
+        assert evaluate_with_convention(f, d, conv) == value(f, c, conv.eval_mode)
 
 
 def test_evaluate_all_matches_single_evaluation(formulas, conv):
@@ -244,7 +248,7 @@ def test_monotone_bound(seed):
     for name in ("I2_1", "I3_2", "I3_4"):
         f = builtin_formula(name)
         bound = sum(abs(c) * math.comb(d.n, p.k) for c, p in f.terms)
-        assert abs(evaluate(f, d, EvalMode.WEIGHTED)) <= bound
+        assert abs(value(f, d)) <= bound
 
 
 FOUR_CHORD_PATTERNS = (
@@ -348,7 +352,7 @@ def test_kernel_matches_oracle_on_every_signed_chord_pattern():
             # distinct coefficients, must give the same linear combination.
             f = Formula("all", tuple((i + 1, p) for i, p in enumerate(patterns)))
             want = sum((i + 1) * e for i, e in enumerate(expected))
-            assert evaluate(f, d, mode) == want
+            assert value(f, d, mode) == want
     unconstrained = [p for p in patterns if all(c == ANY for _, _, c in p.chords)]
     assert all(p.chords in realized for p in unconstrained)
 
@@ -370,7 +374,7 @@ def test_kernel_matches_oracle_on_every_directed_arrow_pattern():
         expected = [count_arrow_pattern_oracle(p, d) for p in patterns]
         assert [count_arrow_pattern(p, d) for p in patterns] == expected, d
         f = Formula("all", tuple((i + 1, p) for i, p in enumerate(patterns)))
-        assert evaluate(f, d) == sum((i + 1) * e for i, e in enumerate(expected))
+        assert value(f, d) == sum((i + 1) * e for i, e in enumerate(expected))
 
 
 def _with_signs(rng, m, kind, constraints):
@@ -555,7 +559,7 @@ def test_evaluate_many_matches_evaluate_all_per_diagram(ds, conv):
     formulas = tuple(
         builtin_formula(name) for name in ("I2_1", "I3_1", "I3_4", "I3_5")
     )
-    assert evaluate_many(formulas, ds, conv) == [
+    assert list(evaluate_many(formulas, ds, conv)) == [
         evaluate_all(formulas, d, conv) for d in ds
     ]
 
@@ -568,7 +572,7 @@ def test_tables_read_arrows_as_the_explicit_switch_does(ds):
     # or applied to chord rows) shows here.
     formulas = builtin_formulas()
     for conv in CONVENTIONS:
-        assert evaluate_many(formulas, ds, conv) == [
+        assert list(evaluate_many(formulas, ds, conv)) == [
             evaluate_all(formulas, arrows_to_chords(d, conv), conv)
             if isinstance(d, ArrowDiagram) else evaluate_all(formulas, d, conv)
             for d in ds
@@ -576,7 +580,105 @@ def test_tables_read_arrows_as_the_explicit_switch_does(ds):
 
 
 def test_evaluate_many_of_no_diagrams(formulas, conv):
-    assert evaluate_many(formulas, [], conv) == []
+    assert list(evaluate_many(formulas, [], conv)) == []
+
+
+def _then_raise(ds, error):
+    yield from ds
+    raise error
+
+
+@pytest.mark.parametrize("failure", ["read raises", "wrong kind"])
+@pytest.mark.parametrize("batches", [1, 2])
+def test_evaluate_many_yields_values_before_a_failing_diagram(
+    monkeypatch, frozen, conv, failure, batches
+):
+    # The failing input comes in the first batch, or after a boundary
+    # (the budget holds torus(3), torus(5) and torus(7): m = 8, 3 * 64).
+    monkeypatch.setattr(counting, "_BATCH_ELEMENTS", 3 * 8 * 8)
+    ds = [gen_torus(k).diagram for k in (3, 5, 7, 3, 5)][:2 + batches]
+    fs = [Formula("T", ((1, frozen.triangle),)),
+          Formula("W", ((1, parse_pattern("[1>3,4>2]")),))]
+    if failure == "read raises":
+        source, error = _then_raise(ds, OSError("unreadable")), OSError
+    else:
+        source, error = iter([*ds, ALL_INTERLEAVED_3]), KindMismatchError
+    built = []
+    init = counting.DiagramTables.__init__
+
+    def recording(self, diagrams, rule, weighted):
+        built.append(len(diagrams))
+        init(self, diagrams, rule, weighted)
+
+    monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
+    got = []
+    with pytest.raises(error):
+        for row in evaluate_many(fs, source, conv):
+            got.append(row)
+    assert len(built) == batches
+    monkeypatch.undo()
+    assert got == [
+        tuple(count_arrow_pattern_oracle(f.terms[0][1], d) for f in fs)
+        for d in ds
+    ]
+
+
+def test_evaluate_many_checks_formulas_before_reading_a_diagram(frozen, conv):
+    read = []
+
+    def diagrams():
+        read.append(True)
+        yield ALL_INTERLEAVED_3
+
+    tri = Formula("T", ((1, frozen.triangle),))
+    with pytest.raises(KindMismatchError, match="mix chord and arrow"):
+        evaluate_many([builtin_formula("I2_1"), tri], diagrams(), conv)
+    with pytest.raises(ValueError, match="invalid pattern"):
+        evaluate_many([Formula("X", ((1, SHORT_CHORDS),))], diagrams(), conv)
+    assert read == []
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_named_counters_are_views_of_evaluate_many(conv):
+    rng = random.Random(432)
+    chords = [random_chord_diagram(rng, max_n=6) for _ in range(6)]
+    arrows = [random_arrow_diagram(rng, max_n=6) for _ in range(6)]
+    chord_patterns = builtin_chord_patterns()
+    arrow_patterns = (*triangle_candidates(), parse_pattern("[1>3:-,4>2]"))
+
+    def many(patterns, ds):
+        fs = [Formula("", ((1, p),)) for p in patterns]
+        return list(evaluate_many(fs, ds, conv))
+
+    def rows(count, patterns, ds):
+        return [tuple(count(p, d) for p in patterns) for d in ds]
+
+    # The pattern counters read templates counterclockwise.
+    cw = conv.orientation is Orientation.CW
+    read = mirror_pattern if cw else (lambda p: p)
+    assert rows(
+        lambda p, d: count_embeddings(read(p), d, conv.eval_mode),
+        chord_patterns, chords,
+    ) == many(chord_patterns, chords)
+    want = many(arrow_patterns, arrows)
+    assert rows(
+        lambda p, d: count_arrow_pattern(read(p), d), arrow_patterns, arrows
+    ) == want
+    assert rows(
+        lambda p, d: count_arrow_with_convention(p, d, conv),
+        arrow_patterns, arrows,
+    ) == want
+    arrow_formulas = [Formula("A", tuple(
+        (i + 1, p) for i, p in enumerate(arrow_patterns)
+    ))]
+    for fs, ds in ((builtin_formulas(), chords + arrows),
+                   (arrow_formulas, arrows)):
+        want = list(evaluate_many(fs, ds, conv))
+        assert [evaluate_all(fs, d, conv) for d in ds] == want
+        assert [
+            tuple(evaluate_with_convention(f, d, conv) for f in fs)
+            for d in ds
+        ] == want
 
 
 def test_batched_four_and_five_chord_counts_match_oracle():
@@ -602,7 +704,7 @@ def test_batched_four_and_five_chord_counts_match_oracle():
             for d in ds
         ]
         assert sum(v != 0 for row in want for v in row) >= len(patterns[::3])
-        assert evaluate_many(fs, ds, conv) == want
+        assert list(evaluate_many(fs, ds, conv)) == want
     arrow_patterns = [
         _with_signs(rng, m, PatternKind.ARROW, (ANY, ANY, 1, -1))
         for m in rng.sample(perfect_matchings(4), 6)
@@ -611,7 +713,7 @@ def test_batched_four_and_five_chord_counts_match_oracle():
     arrow_formulas = tuple(
         Formula(f"A{i}", ((1, p),)) for i, p in enumerate(arrow_patterns)
     )
-    got = _evaluate(PatternKind.ARROW, arrow_formulas, arrows, None, None)
+    got = evaluate_many(arrow_formulas, arrows, Convention())
     assert list(got) == [
         tuple(count_arrow_pattern_oracle(p, d) for p in arrow_patterns)
         for d in arrows
@@ -634,7 +736,7 @@ def test_evaluate_many_splits_input_by_element_budget(
     ds = [gen_cabc(r, b, b).diagram for r in range(3) for b in range(3, 13)]
     ds.append(gen_cabc(0, 66, 66).diagram)
     assert (ds[-1].n + 1) ** 2 > counting._BATCH_ELEMENTS
-    values = evaluate_many(formulas, ds, conv)
+    values = list(evaluate_many(formulas, ds, conv))
     assert len(built) > 2
     assert [n for batch in built for n in batch] == [d.n for d in ds]
     assert built[-1] == [ds[-1].n]
@@ -751,7 +853,7 @@ def test_six_builtins_count_each_family_once_per_batch(
         return count(self, family)
 
     monkeypatch.setattr(counting.DiagramTables, "count", recording)
-    values = evaluate_many(formulas, ds, conv)
+    values = list(evaluate_many(formulas, ds, conv))
     assert calls == [len(ds)] * 6
     monkeypatch.undo()
     assert values == [

@@ -13,7 +13,6 @@ from curveinv import (
     EvalMode,
     Formula,
     Orientation,
-    PatternKind,
     SignedChordDiagram,
     arrows_to_chords,
     builtin_chord_patterns,
@@ -197,12 +196,11 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
     from curveinv.counting import count_arrow_with_convention
 
     calls = []
-    evaluate = registry._evaluate
+    evaluate = registry.evaluate_many
 
-    def counting(kind, formulas, diagrams, conv, mode):
-        if kind is PatternKind.ARROW:
-            calls.append((formulas, diagrams, conv.orientation))
-        return evaluate(kind, formulas, diagrams, conv, mode)
+    def counting(formulas, diagrams, conv):
+        calls.append((formulas, diagrams, conv.orientation))
+        return evaluate(formulas, diagrams, conv)
 
     walked = []
     holds = registry._invariance_holds
@@ -211,7 +209,7 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
         walked.append(config_index)
         return holds(formulas, seeds, trials, rng_seed, conv, config_index)
 
-    monkeypatch.setattr(registry, "_evaluate", counting)
+    monkeypatch.setattr(registry, "evaluate_many", counting)
     monkeypatch.setattr(registry, "_invariance_holds", recording)
     report = calibrate([gen_cabc(1, 1, 1)], trials=2, rng_seed=0)
     # One batched arrow evaluation per orientation: the 8 candidates as
@@ -407,7 +405,7 @@ def test_builtin_relations_hold_on_every_diagram_of_at_most_three_chords(
     ]
     assert len(diagrams) == 135
     signs = parse_formula("S := +[1-2]")
-    rows = evaluate_many((signs, *formulas), diagrams, conv)
+    rows = list(evaluate_many((signs, *formulas), diagrams, conv))
     assert {row[0] for row in rows} == set(range(-3, 4))
     for (s, i2_1, i3_1, _, i3_3, i3_4, i3_5), d in zip(rows, diagrams):
         assert 6 * i3_4 == s - s**3, d
