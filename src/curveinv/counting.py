@@ -293,7 +293,8 @@ class DiagramTables:
         in a column exactly when its hi ranks below the column's end: one
         prefix-table lookup per tuple. Tuples come diagram-major, so each
         column of a block is summed per diagram by one reduceat from the
-        first tuple of every diagram the block reaches.
+        first tuple of every diagram the block reaches, and the block's
+        sums are added to those diagrams' at once.
         """
         sums = np.zeros((len(family.columns), self.batch), dtype=np.int64)
         if not family.roles:
@@ -309,14 +310,17 @@ class DiagramTables:
             for role, t in zip(family.roles[1:], tuples[1:]):
                 w = w * self._role(role)[t]
             base = tuples[0] * (self.m + 1)
-            # Each diagram's first tuple, and the diagrams the block reaches.
+            # The diagrams the block reaches, and the first tuple of each.
             cuts = np.searchsorted(tuples[0], self._firsts)
             reached = (cuts[1:] > cuts[:-1]).nonzero()[0]
+            starts = cuts[reached]
+            block = np.empty((len(sums), len(reached)), dtype=np.int64)
             for c, ((_, b, s), flat) in enumerate(zip(family.columns, flats)):
-                sums[c, reached] += np.add.reduceat(
-                    w * flat[base + self.ends[s][tuples[b]]],
-                    cuts[reached], dtype=np.int64,
+                np.add.reduceat(
+                    w * flat[base + self.ends[s][tuples[b]]], starts,
+                    dtype=np.int64, out=block[c],
                 )
+            sums[:, reached] += block
         return family.matrix @ sums
 
 
