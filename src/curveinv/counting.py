@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -413,6 +414,8 @@ def _plan(
     families = []
     for (steps, roles), columns in folded.items():
         kept = {c: row for c, row in columns.items() if any(row)}
+        if any(not -(1 << 63) <= x < 1 << 63 for r in kept.values() for x in r):
+            raise ValueError("formula coefficient out of int64 range")
         if kept:
             matrix = np.array(list(kept.values()), dtype=np.int64).T
             matrix.flags.writeable = False
@@ -478,7 +481,8 @@ def evaluate_many(
     them. Per batch, each family of the compiled formulas is counted once
     on one set of stacked tables. When reading a diagram raises, or it
     does not fit the formulas' kind (KindMismatchError), the values of
-    every diagram read before it come out first, then the error.
+    every diagram read before it come out first, then the error, as for a
+    batch whose values could leave int64 (ValueError).
     """
     formulas = tuple(formulas)
     kinds = {p.kind for f in formulas for _, p in f.terms}
@@ -489,9 +493,15 @@ def evaluate_many(
     rule = conv.arrow_rule if chord else None
     weighted = not chord or conv.eval_mode is EvalMode.WEIGHTED
     families = _plan(formulas, conv.orientation)
+    # A column of a degree-k family sums one weight per k-subset of items.
+    reach = [(len(f.roles) + 1, abs(f.matrix.astype(object)).sum(axis=1))
+             for f in families]
 
     def values():
         for batch in _batches(_fit(d, kind) for d in diagrams):
+            n = max(d.n for d in batch)
+            if np.any(sum(r * comb(n, k) for k, r in reach) >= 1 << 63):
+                raise ValueError(f"formula values could leave int64 at n={n}")
             tables = DiagramTables(batch, rule, weighted)
             sums = np.zeros((len(formulas), len(batch)), dtype=np.int64)
             for family in families:

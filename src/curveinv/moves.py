@@ -397,24 +397,27 @@ def logged_walk(
     return d, log
 
 
+def require_chords(formulas) -> None:
+    """Refuse arrow formulas: invariance scans read chord values only."""
+    if any(p.kind is PatternKind.ARROW for f in formulas for _, p in f.terms):
+        raise KindMismatchError("expected chord patterns")
+
+
 def value_changes(formulas, d0, walked, conv: Convention):
-    """Yield (before, after, tag) per (diagram, tag) of `walked` whose chord
-    formula values differ from d0's. Walk draws never depend on values, so
-    diagrams are evaluated in batches as `walked` yields them, and a caller
-    that stops reading stops the walk one batch after that change. Nothing
-    is evaluated until `walked` yields its first diagram."""
+    """Yield (before, after, tag) per (tag, diagram) of `walked` (as walk()
+    yields) whose chord values differ from d0's, evaluated in batches as
+    they come: walk draws never depend on values, so a reader that stops
+    stops the walk a batch later, and an empty walk evaluates nothing."""
     walked = iter(walked)
     first = next(walked, None)
     if first is None:
         return
-    if any(p.kind is PatternKind.ARROW for f in formulas for _, p in f.terms):
-        raise KindMismatchError("expected chord patterns")
     walked, tagged = tee(chain([first], walked))
     values = evaluate_many(
-        formulas, chain([d0], (d for d, _ in walked)), conv
+        formulas, chain([d0], (d for _, d in walked)), conv
     )
     before = next(values)
-    for after, (_, tag) in zip(values, tagged):
+    for after, (tag, _) in zip(values, tagged):
         if after != before:
             yield before, after, tag
 
@@ -492,6 +495,9 @@ def fuzz_invariance(
         raise ValueError(
             f"trials and depth must be >= 0, got {trials} and {depth}"
         )
+    if max_violations is not None and max_violations < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+    require_chords(formulas)
     seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
     names = tuple(f.name for f in formulas)
 
@@ -499,7 +505,7 @@ def fuzz_invariance(
         for t in range(trials):
             rng = random.Random(f"{rng_seed}:{si}:{t}")
             d, log = logged_walk(d0, rng, depth, random_site, kinds)
-            yield d, (t, tuple(log))
+            yield (t, tuple(log)), d
 
     violations = (
         FuzzViolation(si, serialize_diagram(d0), trial, names, before, after,

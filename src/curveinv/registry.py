@@ -4,8 +4,8 @@ The six shipped formulas live in data/formulas.txt so the transcription can
 be reviewed and diffed as text; this module only parses and serves them.
 Calibration searches the finite convention space for configurations under
 which all six formulas survive random tangency/triple-point walks and some
-triangle candidate reproduces the closed 2-braid counts 1, 5, 14. Survival
-depends on the convention alone, so it is decided once per convention.
+triangle candidate reproduces the closed 2-braid counts 1, 5, 14. No walk
+reads a convention, so one walk per seed judges every convention at once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import islice, product
 
 from .counting import evaluate_many
 from .diagrams import (
@@ -25,7 +25,7 @@ from .diagrams import (
     iter_diagram_records,
 )
 from .generators import gen_cabc, gen_torus
-from .moves import random_site_balanced, value_changes, walk
+from .moves import random_site_balanced, require_chords, value_changes, walk
 from .patterns import (
     ANY,
     EvalMode,
@@ -168,6 +168,11 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
+# Steps of a seed's walk held and scanned at a time: memory stays one chunk
+# whatever `trials` is, and a walk ends within a chunk of its last drop.
+_CHUNK = 64
+
+
 def calibrate(
     seeds, trials: int, rng_seed, formulas=None
 ) -> CalibrationReport:
@@ -177,59 +182,38 @@ def calibrate(
     each of `trials` random tangency/triple-point moves on every seed, and
     (b) its triangle candidate counts 1, 5, 14 on the 3-, 5-, 7-crossing
     closed 2-braids. (b) reads only the orientation: one batched count
-    each. (a) reads only the convention: one walk set per convention with
-    a passing candidate, on stream 8*i + j + 1 for convention i in
-    (orientation, rule, mode) order and its first passing candidate j.
-    Deterministic for fixed seeds/trials/rng_seed.
+    each. (a) reads only the convention, and no walk reads one: seed i is
+    walked once, on stream f"{rng_seed}|{i}", judging each convention with
+    a passing candidate until its first value change, and its walk stops
+    once none holds. Deterministic for fixed seeds/trials/rng_seed.
     """
-    seeds = list(seeds)
+    seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if formulas is None:
         formulas = builtin_formulas()
+    require_chords(formulas)
     braids = [gen_torus(k).diagram for k in (3, 5, 7)]
     candidates = triangle_candidates()
+    # The candidates, as one-term formulas, are counted in one batch.
+    gate = [Formula("", ((1, c),)) for c in candidates]
     passing = {}  # orientation -> indices of the candidates passing (b)
     for orientation in Orientation:
-        # The candidates, as one-term formulas, are counted in one batch.
-        counts = evaluate_many(
-            [Formula("", ((1, c),)) for c in candidates],
-            braids,
-            Convention(orientation),
-        )
+        counts = evaluate_many(gate, braids, Convention(orientation))
         passing[orientation] = [
             j for j, row in enumerate(zip(*counts)) if row == (1, 5, 14)
         ]
     conventions = list(product(Orientation, ArrowRule, EvalMode))
-    survivors: list[Calibration] = []
-    for i, (orientation, rule, mode) in enumerate(conventions):
-        conv = Convention(orientation, rule, mode)
-        js = passing[orientation]
-        if js and _invariance_holds(formulas, seeds, trials, rng_seed, conv,
-                                    len(candidates) * i + js[0] + 1):
-            survivors.extend(Calibration(conv, candidates[j]) for j in js)
-    return CalibrationReport(
-        survivors=survivors,
-        configurations=len(conventions) * len(candidates),
-        trials=trials,
-        insufficient_evidence=trials == 0,
-    )
-
-
-def _invariance_holds(
-    formulas, seeds, trials, rng_seed, conv, config_index
-) -> bool:
-    for si, seed in enumerate(seeds):
-        d = seed.diagram if isinstance(seed, CurveDiagram) else seed
-        rng = random.Random(f"{rng_seed}|{config_index}|{si}")
-        # Kind-balanced sampling keeps the walk from growing without bound
-        # over hundreds of moves; it stops one batch after a value changes.
-        walked = (
-            (after, None)
-            for _, after in walk(d, rng, trials, random_site_balanced)
-        )
-        if any(value_changes(formulas, d, walked, conv)):
-            return False
-    return True
+    holding = [Convention(*c) for c in conventions if passing[c[0]]]
+    for si, d in enumerate(seeds):
+        walked = walk(d, random.Random(f"{rng_seed}|{si}"), trials,
+                      random_site_balanced)
+        while holding and (chunk := list(islice(walked, _CHUNK))):
+            holding = [c for c in holding
+                       if not any(value_changes(formulas, d, chunk, c))]
+    survivors = [Calibration(c, candidates[j])
+                 for c in holding for j in passing[c.orientation]]
+    return CalibrationReport(survivors, len(conventions) * len(candidates),
+                             trials, insufficient_evidence=trials == 0)

@@ -338,6 +338,11 @@ def test_negative_counts_rejected(capsys, argv):
         # only; evaluate_many itself would count an arrow formula.
         (("calibrate", "--registry", "FILE"), "T := [1>4,5>2,3>6]\n",
          "expected chord patterns"),
+        # Refused before any walk, so also when no move is drawn.
+        (("calibrate", "--trials", "0", "--registry", "FILE"),
+         "T := +[1>4,5>2,3>6]\n", "expected chord patterns"),
+        (("calibrate", "--trials", "0", "--registry", "FILE"),
+         "A := +[1-2]\nT := +[1>4,5>2,3>6]\n", "expected chord patterns"),
     ],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):
@@ -345,6 +350,26 @@ def test_unusable_input_exits_2(tmp_path, capsys, argv, text, message):
     f.write_text(text)
     code, out, err = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+TEN_CHORDS = "chords; n=10; " + " ".join(
+    f"{2 * i + 1}-{2 * i + 2}:+" for i in range(10)
+)
+
+
+@pytest.mark.parametrize("coefficient,expected", [
+    # The largest coefficient whose value on 10 chords fits int64: exact.
+    ("922337203685477580", (0, "9223372036854775800\n", "")),
+    # 10^19 would wrap int64; a coefficient past it would not convert.
+    ("1000000000000000000", (2, "", "error: formula values could leave"
+                             " int64 at n=10\n")),
+    ("99999999999999999999", (2, "", "error: formula coefficient out of"
+                              " int64 range\n")),
+])
+def test_eval_values_are_exact_or_refused(capsys, coefficient, expected):
+    formula = f"X := +{coefficient}[1-2]"
+    assert run(capsys, "eval", "--formula", formula,
+               "--code", TEN_CHORDS) == expected
 
 
 def test_calibrate_registry_file_with_comments_matches_builtin(capsys):

@@ -747,6 +747,20 @@ def test_evaluate_many_splits_input_by_element_budget(
     assert values == [evaluate_all(formulas, d, conv) for d in ds]
 
 
+def test_int64_refusal_bounds_by_subsets_not_powers(conv):
+    # A column of a degree-k family sums one weight per k-subset of items:
+    # 8 disjoint chords in torus(241), whose chords all cross, count 0 and
+    # are not refused, though 241^8 exceeds int64. A coefficient whose
+    # subset bound reaches 2^63 is refused before any table is built.
+    p = parse_pattern("[1-2,3-4,5-6,7-8,9-10,11-12,13-14,15-16]")
+    torus = gen_torus(241).diagram
+    assert 241**8 >= 1 << 63
+    assert evaluate_all([Formula("X", ((1, p),))], torus, conv) == (0,)
+    huge = (1 << 63) // math.comb(241, 8) + 1
+    with pytest.raises(ValueError, match="could leave int64 at n=241"):
+        evaluate_all([Formula("X", ((huge, p),))], torus, conv)
+
+
 def test_formulas_pickle_to_values_that_find_their_plan(formulas, conv):
     # The plan cache is keyed by the formulas' value hash, which is
     # computed afresh in each process, never stored with the value.

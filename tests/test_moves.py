@@ -7,6 +7,7 @@ import pytest
 from curveinv import (
     ArrowDiagram,
     FuzzViolation,
+    KindMismatchError,
     MoveKind,
     MoveSite,
     StaleSiteError,
@@ -18,6 +19,7 @@ from curveinv import (
     gen_torus,
     insert_site_count,
     parse_diagram,
+    parse_formula,
     parse_move_line,
     random_site,
     random_site_balanced,
@@ -407,6 +409,17 @@ def test_fuzz_rejects_negative_trials_or_depth(formulas, conv, trials, depth):
     with pytest.raises(ValueError, match="must be >= 0"):
         fuzz_invariance(formulas, [gen_torus(3)], trials=trials, depth=depth,
                         rng_seed=0, convention=conv)
+
+
+def test_fuzz_refuses_unusable_input_before_any_walk(formulas, conv):
+    arrow = parse_formula("T := +[1>4,5>2,3>6]")
+    for trials in (0, 1):
+        with pytest.raises(KindMismatchError, match="expected chord patterns"):
+            fuzz_invariance([*formulas, arrow], [gen_torus(3)], trials=trials,
+                            depth=3, rng_seed=0, convention=conv)
+    with pytest.raises(ValueError, match="max_violations must be >= 0"):
+        fuzz_invariance(formulas, [gen_torus(3)], trials=2, depth=3,
+                        rng_seed=0, convention=conv, max_violations=-1)
 
 
 def test_fuzz_clean_run(formulas, conv):

@@ -22,6 +22,7 @@ from curveinv import (
     count_arrow_pattern,
     count_arrow_with_convention,
     default_fuzz_seeds,
+    evaluate_all,
     evaluate_many,
     frozen_calibration,
     fuzz_invariance,
@@ -203,15 +204,16 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
         return evaluate(formulas, diagrams, conv)
 
     walked = []
-    holds = registry._invariance_holds
+    walk = registry.walk
 
-    def recording(formulas, seeds, trials, rng_seed, conv, config_index):
-        walked.append(config_index)
-        return holds(formulas, seeds, trials, rng_seed, conv, config_index)
+    def recording(d, rng, steps, sample):
+        walked.append((d, rng.getstate(), steps))
+        return walk(d, rng, steps, sample)
 
     monkeypatch.setattr(registry, "evaluate_many", counting)
-    monkeypatch.setattr(registry, "_invariance_holds", recording)
-    report = calibrate([gen_cabc(1, 1, 1)], trials=2, rng_seed=0)
+    monkeypatch.setattr(registry, "walk", recording)
+    seeds = [gen_cabc(1, 1, 1), gen_torus(3)]
+    report = calibrate(seeds, trials=2, rng_seed=0)
     # One batched arrow evaluation per orientation: the 8 candidates as
     # one-term formulas over the three braids.
     braids = [gen_torus(k).diagram for k in (3, 5, 7)]
@@ -221,30 +223,67 @@ def test_calibrate_counts_each_triangle_candidate_once_per_orientation(
             ((1, c),) for c in triangle_candidates()
         ]
         assert list(diagrams) == braids
-    # Configurations are numbered orientation-major, then arrow rule, eval
-    # mode and candidate. Each convention (a run of 8 numbers) is walked
-    # once, seeded by the number of its first candidate passing the gate.
-    passing = []
-    for i in range(64):
-        conv = Convention(orientation=(Orientation.CCW, Orientation.CW)[i // 32])
-        cand = triangle_candidates()[i % 8]
-        if [
-            count_arrow_with_convention(cand, t, conv) for t in braids
-        ] == [1, 5, 14]:
-            passing.append(i + 1)
-    first = {}
-    for index in passing:
-        first.setdefault((index - 1) // 8, index)
-    assert len(first) == 8
-    assert walked == list(first.values())
+    # Both orientations have passing candidates, so every convention is
+    # judged; yet each seed is walked once, on stream "rng_seed|i".
+    for orientation in (Orientation.CCW, Orientation.CW):
+        conv = Convention(orientation)
+        assert any(
+            [count_arrow_with_convention(c, t, conv) for t in braids]
+            == [1, 5, 14]
+            for c in triangle_candidates()
+        )
+    assert walked == [
+        (seed.diagram, random.Random(f"0|{si}").getstate(), 2)
+        for si, seed in enumerate(seeds)
+    ]
     assert report.configurations == 64
 
 
+def _first_changes(seeds, trials, rng_seed, formulas):
+    """The reference of calibrate's one shared walk: per convention with a
+    passing candidate, in convention order, the (seed index, step) of the
+    first value change on the walk of each seed on stream "rng_seed|i",
+    walked to its end and evaluated one diagram at a time with arrows
+    switched to chords; None where the values never change."""
+    walks = []
+    for si, seed in enumerate(seeds):
+        rng = random.Random(f"{rng_seed}|{si}")
+        d = seed.diagram
+        walks.append([d] + [
+            after for _, after in walk(d, rng, trials, random_site_balanced)
+        ])
+    out = {}
+    for orientation, rule, mode in itertools.product(
+        Orientation, ArrowRule, EvalMode
+    ):
+        if not any(_counts_braids(c, orientation)
+                   for c in triangle_candidates()):
+            continue
+        conv = Convention(orientation, rule, mode)
+
+        def value(d):
+            return evaluate_all(formulas, arrows_to_chords(d, conv), conv)
+
+        out[conv] = next(
+            (
+                (si, step)
+                for si, ds in enumerate(walks)
+                for step, d in enumerate(ds[1:], 1)
+                if value(d) != value(ds[0])
+            ),
+            None,
+        )
+    return out
+
+
 def test_invariance_walk_of_small_diagrams_builds_one_table_set(
-    monkeypatch, formulas, conv
+    monkeypatch, formulas
 ):
     from curveinv import counting, registry
 
+    seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
+    changes = _first_changes(seeds, 20, 0, formulas)
+    assert None in changes.values() and len(set(changes.values())) > 1
     built = []
     init = counting.DiagramTables.__init__
 
@@ -253,10 +292,16 @@ def test_invariance_walk_of_small_diagrams_builds_one_table_set(
         init(self, diagrams, rule, weighted)
 
     monkeypatch.setattr(counting.DiagramTables, "__init__", recording)
-    seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
-    assert registry._invariance_holds(formulas, seeds, 20, 0, conv, 1)
-    # Each seed's start and 20 steps are counted on one set of tables.
-    assert built == [21] * len(seeds)
+    calibrate(seeds, 20, 0)
+    # The triangle gate's one batch per orientation, then per seed one
+    # table set of its start and its 20 steps, a chunk of one batch, for
+    # each convention still holding when the seed is walked.
+    assert registry._CHUNK >= 20
+    expected = [3, 3]
+    for si in range(len(seeds)):
+        holding = [c for c in changes.values() if c is None or c >= (si, 1)]
+        expected += [21] * len(holding)
+    assert built == expected
 
 
 def test_calibrate_is_deterministic():
@@ -294,7 +339,9 @@ def _counts_braids(cand, orientation):
 def _reference_calibration(seeds, trials, rng_seed, formulas):
     """calibrate as it walked before invariance was shared: every candidate
     passing the triangle gate walks each seed on its own stream, to the
-    end, with arrows switched to chords one diagram at a time."""
+    end, with arrows switched to chords one diagram at a time. Its streams
+    are not calibrate's; the two agree where no verdict depends on the
+    walk drawn, as the builtins' do on these seeds."""
     survivors, index = [], 0
     for orientation in (Orientation.CCW, Orientation.CW):
         for rule in (ArrowRule.FORWARD_PLUS, ArrowRule.FORWARD_MINUS):
@@ -327,6 +374,41 @@ def test_calibrate_equals_the_per_candidate_reference(formulas, trials):
         assert calibrate(seeds, trials, rng_seed).format() == (
             _reference_calibration(seeds, trials, rng_seed, formulas).format()
         )
+
+
+def _single_and_corrupted():
+    builtins = builtin_formulas()
+    i2_1 = builtins[0]
+    flipped = Formula(
+        i2_1.name, ((-i2_1.terms[0][0], i2_1.terms[0][1]),) + i2_1.terms[1:]
+    )
+    return {
+        "builtins": builtins,
+        "I2_1": builtins[:1],
+        "I3_1": builtins[1:2],
+        "I3_5": builtins[5:],
+        "corrupted": (flipped,) + builtins[1:],
+    }
+
+
+@pytest.mark.parametrize("name", list(_single_and_corrupted()))
+@pytest.mark.parametrize("trials", [1, 6, 70])
+def test_calibrate_verdicts_equal_the_per_diagram_reference(name, trials):
+    # Every convention's verdict, on chunks of one walk per seed, equals
+    # the values of that walk's diagrams evaluated one at a time.
+    formulas = _single_and_corrupted()[name]
+    seeds = [gen_cabc(1, 1, 1), gen_cabc(2, 1, 1), gen_torus(3)]
+    for rng_seed in ("0", "1", "2"):
+        changes = _first_changes(seeds, trials, rng_seed, formulas)
+        expected = [
+            Calibration(conv, cand)
+            for conv, change in changes.items()
+            if change is None
+            for cand in triangle_candidates()
+            if _counts_braids(cand, conv.orientation)
+        ]
+        report = calibrate(seeds, trials, rng_seed, formulas=formulas)
+        assert report.survivors == expected
 
 
 def test_calibrate_of_a_corrupted_formula_equals_the_reference():
@@ -414,10 +496,9 @@ def test_builtin_relations_hold_on_every_diagram_of_at_most_three_chords(
 
 @pytest.mark.parametrize("seed", [gen_cabc(2, 6, 6), gen_cabc(0, 6, 6)])
 def test_invariance_walk_stops_one_batch_after_the_first_change(
-    monkeypatch, formulas, conv, seed
+    monkeypatch, formulas, seed
 ):
-    from curveinv import counting, registry
-    from curveinv.counting import evaluate_all
+    from curveinv import registry
 
     corrupted = [
         Formula(f.name, ((-f.terms[0][0], f.terms[0][1]),) + f.terms[1:])
@@ -433,13 +514,11 @@ def test_invariance_walk_stops_one_batch_after_the_first_change(
             yield site, d
 
     monkeypatch.setattr(registry, "walk", recording)
-    assert not registry._invariance_holds(corrupted, [seed], 400, 0, conv, 1)
-    start = evaluate_all(corrupted, seed.diagram, conv)
-    first = next(
-        i for i, d in enumerate(walked, 1)
-        if evaluate_all(corrupted, d, conv) != start
-    )
-    # A batch holds at most this many of the walked diagrams; the walk may
-    # also yield the diagram that opens the next batch.
-    batch = counting._BATCH_ELEMENTS // (min(d.n for d in walked) + 1) ** 2
-    assert len(walked) <= first + batch < 400
+    report = calibrate([seed], 400, 0, formulas=corrupted)
+    assert report.survivors == []
+    changes = _first_changes([seed], len(walked), 0, corrupted)
+    last = max(step for _, step in changes.values())
+    # The walk is read a chunk at a time and stops after the chunk in
+    # which the last holding convention changed.
+    assert last <= len(walked) < last + registry._CHUNK
+    assert len(walked) < 400
