@@ -115,13 +115,16 @@ class Family(NamedTuple):
     A pattern counts the tuples' weights times role 1's items between its
     two ends: the difference of two columns (role-1 filter, position, LO,
     HI or TOP), each counting role 1's items below that end; BOTTOM reads
-    0. Row f of the int64 ``matrix`` holds formula f's column coefficients.
+    0. Row f of the int64 ``matrix`` holds formula f's column coefficients;
+    ``reach[f]`` (object dtype, exact) the sum of their magnitudes, so the
+    family adds at most reach[f] * C(n, k) to formula f on n items.
     """
 
     steps: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     roles: tuple[tuple[int, bool | None], ...]
     columns: tuple[tuple[tuple[int, bool | None], int, int], ...]
     matrix: np.ndarray
+    reach: np.ndarray
 
 
 def _term(p: Pattern) -> Term:
@@ -393,8 +396,11 @@ def _plan(
     are dropped, and so are families left without a column. Clockwise
     orientation reads the templates mirrored. The cache holds thousands of
     plans, so callers that count many one-term formulas (one per pattern)
-    compile each pattern once. Raises ValueError on an invalid pattern.
+    compile each pattern once. Raises KindMismatchError when the formulas
+    mix chord and arrow patterns, then ValueError on an invalid pattern.
     """
+    if len({p.kind for f in formulas for _, p in f.terms}) > 1:
+        raise KindMismatchError("formulas mix chord and arrow patterns")
     folded: dict[tuple, dict[tuple, list[int]]] = {}
     for f, formula in enumerate(formulas):
         for coeff, p in formula.terms:
@@ -419,7 +425,9 @@ def _plan(
         if kept:
             matrix = np.array(list(kept.values()), dtype=np.int64).T
             matrix.flags.writeable = False
-            families.append(Family(steps, roles, tuple(kept), matrix))
+            reach = abs(matrix.astype(object)).sum(axis=1)
+            reach.flags.writeable = False
+            families.append(Family(steps, roles, tuple(kept), matrix, reach))
     return tuple(families)
 
 
@@ -485,22 +493,19 @@ def evaluate_many(
     batch whose values could leave int64 (ValueError).
     """
     formulas = tuple(formulas)
-    kinds = {p.kind for f in formulas for _, p in f.terms}
-    if len(kinds) > 1:
-        raise KindMismatchError("formulas mix chord and arrow patterns")
-    kind = kinds.pop() if kinds else PatternKind.CHORD
+    families = _plan(formulas, conv.orientation)
+    kind = next((p.kind for f in formulas for _, p in f.terms),
+                PatternKind.CHORD)
     chord = kind is PatternKind.CHORD
     rule = conv.arrow_rule if chord else None
     weighted = not chord or conv.eval_mode is EvalMode.WEIGHTED
-    families = _plan(formulas, conv.orientation)
-    # A column of a degree-k family sums one weight per k-subset of items.
-    reach = [(len(f.roles) + 1, abs(f.matrix.astype(object)).sum(axis=1))
-             for f in families]
 
     def values():
         for batch in _batches(_fit(d, kind) for d in diagrams):
             n = max(d.n for d in batch)
-            if np.any(sum(r * comb(n, k) for k, r in reach) >= 1 << 63):
+            # A degree-k family sums one weight per k-subset of items.
+            reach = sum(f.reach * comb(n, len(f.roles) + 1) for f in families)
+            if np.any(reach >= 1 << 63):
                 raise ValueError(f"formula values could leave int64 at n={n}")
             tables = DiagramTables(batch, rule, weighted)
             sums = np.zeros((len(formulas), len(batch)), dtype=np.int64)

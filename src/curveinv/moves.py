@@ -403,6 +403,16 @@ def require_chords(formulas) -> None:
         raise KindMismatchError("expected chord patterns")
 
 
+def arrow_seeds(seeds) -> list[ArrowDiagram]:
+    """The seeds as a list of arrow diagrams, curve diagrams unwrapped.
+    Anything else is refused (KindMismatchError), whatever is asked of
+    the seeds after: walks move arrows."""
+    seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
+    if not all(isinstance(s, ArrowDiagram) for s in seeds):
+        raise KindMismatchError("seeds must be arrow diagrams")
+    return seeds
+
+
 def value_changes(formulas, d0, walked, conv: Convention):
     """Yield (before, after, tag) per (tag, diagram) of `walked` (as walk()
     yields) whose chord values differ from d0's, evaluated in batches as
@@ -498,7 +508,7 @@ def fuzz_invariance(
     if max_violations is not None and max_violations < 0:
         raise ValueError(f"max_violations must be >= 0, got {max_violations}")
     require_chords(formulas)
-    seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
+    seeds = arrow_seeds(seeds)
     names = tuple(f.name for f in formulas)
 
     def walks(si, d0):

@@ -293,3 +293,20 @@ def mirror_pattern(p: Pattern) -> Pattern:
 
 def mirror_formula(f: Formula) -> Formula:
     return Formula(f.name, tuple((c, mirror_pattern(p)) for c, p in f.terms))
+
+
+def flip_signs(f: Formula, mode: EvalMode) -> Formula:
+    """The formula that reads on a diagram, in this mode, what f reads on
+    it with every sign negated.
+
+    Each sign constraint flips; in weighted mode a match weighs the
+    product of its k negated signs, so a degree-k coefficient takes the
+    factor (-1)^k. This is how the FORWARD_MINUS arrow rule is realized
+    on arrow diagrams: it negates every sign FORWARD_PLUS gives.
+    """
+    weighted = mode is EvalMode.WEIGHTED
+    return Formula(f.name, tuple(
+        (-c if weighted and p.k % 2 else c,
+         Pattern(p.k, p.kind, tuple((a, b, -s) for a, b, s in p.chords)))
+        for c, p in f.terms
+    ))

@@ -5,7 +5,10 @@ be reviewed and diffed as text; this module only parses and serves them.
 Calibration searches the finite convention space for configurations under
 which all six formulas survive random tangency/triple-point walks and some
 triangle candidate reproduces the closed 2-braid counts 1, 5, 14. No walk
-reads a convention, so one walk per seed judges every convention at once.
+reads a convention, so one walk per seed judges every convention at once,
+and on arrow diagrams every convention of an eval mode is that mode's base
+convention read through rewritten formulas, so one kernel pass per mode
+counts them all.
 """
 
 from __future__ import annotations
@@ -25,13 +28,21 @@ from .diagrams import (
     iter_diagram_records,
 )
 from .generators import gen_cabc, gen_torus
-from .moves import random_site_balanced, require_chords, value_changes, walk
+from .moves import (
+    arrow_seeds,
+    random_site_balanced,
+    require_chords,
+    value_changes,
+    walk,
+)
 from .patterns import (
     ANY,
     EvalMode,
     Formula,
     Pattern,
     PatternKind,
+    flip_signs,
+    mirror_formula,
     parse_formula,
     parse_pattern,
     serialize_pattern,
@@ -173,6 +184,28 @@ class CalibrationReport:
 _CHUNK = 64
 
 
+@functools.lru_cache(maxsize=1 << 6)
+def read_at_base(
+    formulas: tuple[Formula, ...], conv: Convention
+) -> tuple[Formula, ...]:
+    """Chord formulas rewritten so that their values under
+    Convention(eval_mode=conv.eval_mode) are the given formulas' values
+    under conv, on every arrow diagram.
+
+    Clockwise orientation reads the templates mirrored (mirror_formula),
+    and FORWARD_MINUS negates every sign FORWARD_PLUS gives an arrow
+    (flip_signs). Chord diagrams, whose signs no arrow rule switches, do
+    not satisfy this. Memoized per formula tuple and convention, as the
+    plans of the rewritten formulas are, since rewriting builds every
+    pattern anew.
+    """
+    if conv.orientation is Orientation.CW:
+        formulas = map(mirror_formula, formulas)
+    if conv.arrow_rule is ArrowRule.FORWARD_MINUS:
+        formulas = (flip_signs(f, conv.eval_mode) for f in formulas)
+    return tuple(formulas)
+
+
 def calibrate(
     seeds, trials: int, rng_seed, formulas=None
 ) -> CalibrationReport:
@@ -185,15 +218,19 @@ def calibrate(
     each. (a) reads only the convention, and no walk reads one: seed i is
     walked once, on stream f"{rng_seed}|{i}", judging each convention with
     a passing candidate until its first value change, and its walk stops
-    once none holds. Deterministic for fixed seeds/trials/rng_seed.
+    once none holds. On arrow seeds every convention of one eval mode is
+    the base convention read through rewritten formulas (read_at_base),
+    so each chunk of a walk is counted once per eval mode, on the union
+    of its holding conventions' formulas. Seeds that are not arrow
+    diagrams are refused (KindMismatchError). Deterministic for fixed
+    seeds/trials/rng_seed.
     """
-    seeds = [s.diagram if isinstance(s, CurveDiagram) else s for s in seeds]
+    seeds = arrow_seeds(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if formulas is None:
-        formulas = builtin_formulas()
+    formulas = builtin_formulas() if formulas is None else tuple(formulas)
     require_chords(formulas)
     braids = [gen_torus(k).diagram for k in (3, 5, 7)]
     candidates = triangle_candidates()
@@ -207,12 +244,27 @@ def calibrate(
         ]
     conventions = list(product(Orientation, ArrowRule, EvalMode))
     holding = [Convention(*c) for c in conventions if passing[c[0]]]
+    read = {c: read_at_base(formulas, c) for c in holding}
+    k = len(formulas)
     for si, d in enumerate(seeds):
         walked = walk(d, random.Random(f"{rng_seed}|{si}"), trials,
                       random_site_balanced)
         while holding and (chunk := list(islice(walked, _CHUNK))):
-            holding = [c for c in holding
-                       if not any(value_changes(formulas, d, chunk, c))]
+            changed = set()
+            for mode in EvalMode:
+                judged = [c for c in holding if c.eval_mode is mode]
+                if not judged:
+                    continue
+                union = [f for c in judged for f in read[c]]
+                base = Convention(eval_mode=mode)
+                for before, after, _ in value_changes(union, d, chunk, base):
+                    changed.update(
+                        c for i, c in enumerate(judged)
+                        if before[i * k:i * k + k] != after[i * k:i * k + k]
+                    )
+                    if changed.issuperset(judged):
+                        break
+            holding = [c for c in holding if c not in changed]
     survivors = [Calibration(c, candidates[j])
                  for c in holding for j in passing[c.orientation]]
     return CalibrationReport(survivors, len(conventions) * len(candidates),

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveinv import (
     ANY,
+    EvalMode,
     Formula,
     ParseError,
     Pattern,
@@ -15,7 +16,7 @@ from curveinv import (
     serialize_formula,
     serialize_pattern,
 )
-from curveinv.patterns import pattern_violations
+from curveinv.patterns import flip_signs, pattern_violations
 
 
 def test_parse_signed_crossed_pair():
@@ -230,6 +231,19 @@ def test_mirror_reflects_slots():
 def test_mirror_formula_round_trip(formulas):
     for f in formulas:
         assert mirror_formula(mirror_formula(f)) == f
+
+
+def test_flip_signs_flips_constraints_and_odd_weighted_coefficients(formulas):
+    f = parse_formula("X := 2[1-3:+,2-4:-] -[1-2,3-5:+,4-6] +3[1-2:-]")
+    assert flip_signs(f, EvalMode.WEIGHTED) == parse_formula(
+        "X := 2[1-3:-,2-4:+] +[1-2,3-5:-,4-6] -3[1-2:+]"
+    )
+    assert flip_signs(f, EvalMode.CONSTRAINED) == parse_formula(
+        "X := 2[1-3:-,2-4:+] -[1-2,3-5:-,4-6] +3[1-2:+]"
+    )
+    for mode in EvalMode:
+        for g in (f, *formulas):
+            assert flip_signs(flip_signs(g, mode), mode) == g
 
 
 @settings(max_examples=200, deadline=None)

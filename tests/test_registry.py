@@ -33,8 +33,10 @@ from curveinv import (
     serialize_formula,
     triangle_candidates,
 )
+from curveinv.counting import KindMismatchError
 from curveinv.moves import walk
-from helpers import perfect_matchings
+from curveinv.registry import read_at_base
+from helpers import perfect_matchings, random_arrow_diagram
 
 NAMES = ("I2_1", "I3_1", "I3_2", "I3_3", "I3_4", "I3_5")
 TERM_COUNTS = {"I2_1": 2, "I3_1": 8, "I3_2": 6, "I3_3": 6, "I3_4": 21, "I3_5": 10}
@@ -295,13 +297,58 @@ def test_invariance_walk_of_small_diagrams_builds_one_table_set(
     calibrate(seeds, 20, 0)
     # The triangle gate's one batch per orientation, then per seed one
     # table set of its start and its 20 steps, a chunk of one batch, for
-    # each convention still holding when the seed is walked.
+    # each eval mode with a convention still holding when the seed is
+    # walked.
     assert registry._CHUNK >= 20
     expected = [3, 3]
     for si in range(len(seeds)):
-        holding = [c for c in changes.values() if c is None or c >= (si, 1)]
-        expected += [21] * len(holding)
+        modes = {conv.eval_mode for conv, c in changes.items()
+                 if c is None or c >= (si, 1)}
+        expected += [21] * len(modes)
     assert built == expected
+
+
+# Odd- and even-degree terms with and without sign constraints, next to
+# the builtins: what the sign flip changes and what it keeps.
+CONSTRAINED_TERMS = parse_formula(
+    "C := 3[1-2:+] -2[1-3:-,2-4:+] +[1-4,2-6:-,3-5:+]"
+    " -5[1-5:+,2-3,4-7:-,6-8] +[1-2,3-4:-]"
+)
+
+
+def test_each_convention_reads_as_the_base_convention_of_rewritten_formulas(
+    formulas,
+):
+    rng = random.Random(2024)
+    ds = [random_arrow_diagram(rng, max_n=8) for _ in range(300)]
+    for seed in (gen_cabc(1, 2, 1), gen_torus(5)):
+        ds += [d for _, d in walk(seed.diagram, rng, 40, random_site_balanced)]
+    fs = (*formulas, CONSTRAINED_TERMS)
+    for orientation, rule, mode in itertools.product(
+        Orientation, ArrowRule, EvalMode
+    ):
+        conv = Convention(orientation, rule, mode)
+        rewritten = read_at_base(fs, conv)
+        assert [f.name for f in rewritten] == [f.name for f in fs]
+        assert list(evaluate_many(rewritten, ds, Convention(eval_mode=mode))) \
+            == list(evaluate_many(fs, ds, conv)), conv
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_calibrate_and_fuzz_refuse_chord_seeds_before_any_work(
+    monkeypatch, formulas, conv, trials
+):
+    from curveinv import counting
+
+    built = []
+    monkeypatch.setattr(counting.DiagramTables, "__init__",
+                        lambda *args: built.append(args))
+    seeds = [gen_cabc(1, 1, 1), SignedChordDiagram(2, ((1, 3, 1), (2, 4, 1)))]
+    with pytest.raises(KindMismatchError, match="arrow diagrams"):
+        calibrate(seeds, trials, 0)
+    with pytest.raises(KindMismatchError, match="arrow diagrams"):
+        fuzz_invariance(formulas, seeds, trials, 3, 0, conv)
+    assert built == []
 
 
 def test_calibrate_is_deterministic():
@@ -388,6 +435,9 @@ def _single_and_corrupted():
         "I3_1": builtins[1:2],
         "I3_5": builtins[5:],
         "corrupted": (flipped,) + builtins[1:],
+        # Not invariant, yet unchanged on some short walks under one
+        # convention of a mode and changed under the others.
+        "one_crossed_pair": (parse_formula("X := [1-3:-,2-4]"),),
     }
 
 
